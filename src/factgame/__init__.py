@@ -21,6 +21,7 @@ from .experts import (
     ThresholdValueSuite,
     ValueBasedExpertState,
     ValueFunction,
+    ValueTable,
     build_scripted_suite,
     load_expert_suite,
     oracle_query,

@@ -13,7 +13,9 @@ import random
 from dataclasses import dataclass
 from typing import Container, Iterator, Sequence
 
-from .experts import ValueFunction
+import numpy as np
+
+from .experts import ValueTable
 from .model import Event, Fact, QuestionId, Stream, evaluate, teach
 
 
@@ -97,7 +99,7 @@ class LowerBoundInstance:
     collections: tuple[tuple[Fact, ...], ...]
     part2_rounds: tuple[tuple[Fact, ...], ...]
     universe: tuple[QuestionId, ...]
-    value_functions: tuple[ValueFunction, ...]
+    table: ValueTable
     leaf_coords: tuple[tuple[int, ...] | None, ...]
 
     @property
@@ -140,8 +142,6 @@ def build_lower_bound_instance(
     )
     universe: list[QuestionId] = [f.question for coll in collections for f in coll]
     universe.extend(f.question for rnd in part2 for f in rnd)
-    base = {q: g + 1 for g, q in enumerate(universe)}
-    floor = len(universe)
 
     coords: list[tuple[int, ...] | None] = [None] * n_experts
 
@@ -158,20 +158,23 @@ def build_lower_bound_instance(
 
     split(0, n_experts, depth, ())
 
-    value_functions = []
-    for e in range(n_experts):
-        values = dict(base)
-        leaf = coords[e]
-        if leaf is not None:
-            # The level-k block outranks everything shown earlier: its values
-            # sit in the band above the whole base enumeration, rising with k.
-            for k in range(1, depth + 1):
-                i_k = leaf[k - 1]
-                for rank, j in enumerate(
-                    range(capacity * (i_k - 1) + 1, capacity * i_k + 1), start=1
-                ):
-                    values[f"c{k}.{j}"] = floor + (k - 1) * capacity + rank
-        value_functions.append(ValueFunction(values))
+    # Question g of the enumeration above has base value g + 1 for everyone;
+    # the table's columns follow sorted(universe, key=str).
+    floor = len(universe)
+    order = sorted(range(floor), key=lambda g: universe[g])
+    column = np.empty(floor, dtype=np.int64)
+    column[order] = np.arange(floor)
+    values = np.empty((n_experts, floor), dtype=np.int64)
+    values[:, column] = np.arange(1, floor + 1)
+    # The level-k block outranks everything shown earlier: its values sit in
+    # the band above the whole base enumeration, rising with k.
+    leafed = [e for e in range(n_experts) if coords[e] is not None]
+    rows = np.array(leafed)[:, None]
+    leaves = np.array([coords[e] for e in leafed], dtype=np.int64)
+    ranks = np.arange(capacity)
+    for k in range(1, depth + 1):
+        starts = (k - 1) * arity * capacity + capacity * (leaves[:, k - 1] - 1)
+        values[rows, column[starts[:, None] + ranks]] = floor + (k - 1) * capacity + 1 + ranks
 
     return LowerBoundInstance(
         c=c,
@@ -182,7 +185,7 @@ def build_lower_bound_instance(
         collections=collections,
         part2_rounds=part2,
         universe=tuple(universe),
-        value_functions=tuple(value_functions),
+        table=ValueTable([universe[g] for g in order], values),
         leaf_coords=tuple(coords),
     )
 
@@ -206,10 +209,6 @@ class LowerBoundAdversary(Adversary):
         self.chosen_blocks: list[int] = []
         self._view: Container[QuestionId] = frozenset()
         self._gen = self._plan()
-
-    @property
-    def value_functions(self) -> tuple[ValueFunction, ...]:
-        return self.instance.value_functions
 
     def next_event(self, history, memory_view) -> Event | None:
         self._view = memory_view

@@ -4,11 +4,14 @@ Two families of experts:
 
 * **Value-based** experts rank every question with a per-expert injective
   score and always retain the ``capacity`` highest-scoring facts seen so far.
-  They admit two interchangeable representations: an explicit eviction-based
-  simulation (:class:`SimulatedValueSuite`) and a vectorized form that keeps
-  only the shared seen-set plus each expert's running retention cutoff
-  (:class:`ThresholdValueSuite`). Membership answers must agree; the test
-  suite checks this exhaustively at small scale.
+  A panel's scores form one validated, read-only ``N x U`` table
+  (:class:`ValueTable`). The panel admits two interchangeable
+  representations: an explicit eviction-based simulation
+  (:class:`SimulatedValueSuite`, over per-expert dicts built from the table's
+  rows) and a vectorized form that keeps only the shared seen-set plus each
+  expert's running retention cutoff (:class:`ThresholdValueSuite`, over the
+  table itself). Membership answers must agree; the test suite checks this
+  exhaustively at small scale.
 
 * **Scripted** experts follow deterministic stream-order policies (recency,
   first-seen, stride). Policies depend only on the stream, never on expert
@@ -61,6 +64,101 @@ class ValueFunction:
     @property
     def domain(self) -> frozenset[QuestionId]:
         return frozenset(self.values)
+
+    @classmethod
+    def _trusted(cls, values: Mapping[QuestionId, int]) -> "ValueFunction":
+        """Wrap a scoring already validated elsewhere, skipping the checks."""
+        vf = object.__new__(cls)
+        object.__setattr__(vf, "values", values)
+        return vf
+
+
+class ValueTable:
+    """The scores of a value-based panel: one read-only ``N x U`` ``int64``
+    array, row ``e`` holding expert ``e``'s injective scoring of the
+    questions in ``universe`` (column order).
+
+    Validated once, vectorized, on construction: the array is rectangular,
+    every value is an integer >= 1, and no row repeats a value. The array is
+    then frozen, so the suite and the learner can share it by reference. An
+    ``int64`` array passed in is taken over, not copied.
+    """
+
+    def __init__(self, universe: Sequence[QuestionId], values) -> None:
+        try:
+            array = np.asarray(values)
+        except ValueError as err:  # a ragged nested list
+            raise ValueError(f"value table is not rectangular: {err}") from None
+        if array.ndim != 2:
+            raise ValueError(f"value table must be 2-D, got shape {array.shape}")
+        if array.size and array.dtype.kind not in "iu":
+            raise ValueError(f"values must be integers, got dtype {array.dtype}")
+        array = array.astype(np.int64, copy=False)
+        n, u = array.shape
+        if n < 1:
+            raise ValueError("need at least one expert")
+        self.universe: tuple[QuestionId, ...] = tuple(universe)
+        if len(self.universe) != u:
+            raise ValueError(
+                f"value table has {u} columns for {len(self.universe)} questions"
+            )
+        self._col = {q: i for i, q in enumerate(self.universe)}
+        if len(self._col) != u:
+            raise ValueError("question universe lists a question twice")
+        if u:
+            if array.min() < 1:
+                e, c = np.argwhere(array < 1)[0]
+                raise ValueError(
+                    f"expert {e}: value for {self.universe[c]!r} must be an "
+                    f"integer >= 1, got {array[e, c]}"
+                )
+            ordered = np.sort(array, axis=1)
+            repeats = ordered[:, 1:] == ordered[:, :-1]
+            if repeats.any():
+                e, c = np.argwhere(repeats)[0]
+                raise ValueError(
+                    f"expert {e}: value function not injective, "
+                    f"{ordered[e, c]} is used twice"
+                )
+        array.flags.writeable = False
+        self.values = array
+
+    @classmethod
+    def from_mappings(cls, rows: Sequence[Mapping[QuestionId, int]]) -> "ValueTable":
+        """Table of per-expert ``question -> value`` mappings that all share
+        one domain; columns follow ``sorted(domain, key=str)``."""
+        if not rows:
+            raise ValueError("need at least one expert")
+        domain = rows[0].keys()
+        for i, row in enumerate(rows):
+            if row.keys() != domain:
+                raise ValueError(
+                    f"expert {i} declares a different question universe; "
+                    "a value table must be rectangular"
+                )
+        universe = sorted(domain, key=str)
+        return cls(universe, [[row[q] for q in universe] for row in rows])
+
+    @property
+    def n(self) -> int:
+        return self.values.shape[0]
+
+    def column(self, question: QuestionId) -> int:
+        try:
+            return self._col[question]
+        except KeyError:
+            raise KeyError(
+                f"question {question!r} is outside the declared universe"
+            ) from None
+
+    def value_function(self, expert: int) -> ValueFunction:
+        """Expert ``expert``'s row as a question -> value mapping."""
+        return ValueFunction._trusted(
+            dict(zip(self.universe, self.values[expert].tolist()))
+        )
+
+    def value_functions(self) -> list[ValueFunction]:
+        return [self.value_function(e) for e in range(self.n)]
 
 
 @dataclass(frozen=True)
@@ -271,35 +369,23 @@ class SimulatedValueSuite:
 
 
 class ThresholdValueSuite:
-    """Vectorized value-based suite over a declared finite universe.
+    """Vectorized value-based suite over a :class:`ValueTable`.
 
-    Holds the value matrix, the shared seen-mask, and each expert's running
-    top-``capacity`` seen values (ascending; column 0 is the retention
-    cutoff, 0 while under-full). Membership is
+    Holds the table by reference, the shared seen-mask, and each expert's
+    running top-``capacity`` seen values (ascending; column 0 is the
+    retention cutoff, 0 while under-full). Membership is
     ``seen(q) and value(e, q) >= cutoff(e)``.
     """
 
     backing = "threshold"
 
-    def __init__(self, value_functions: Sequence[ValueFunction], capacity: int):
-        if not value_functions:
-            raise ValueError("need at least one expert")
-        universe = sorted(value_functions[0].domain, key=str)
-        for i, vf in enumerate(value_functions):
-            if vf.domain != value_functions[0].domain:
-                raise ValueError(
-                    f"expert {i} declares a different question universe; "
-                    "the vectorized suite needs a rectangular value table"
-                )
+    def __init__(self, table: ValueTable, capacity: int):
         self.capacity = capacity
-        self.universe: list[QuestionId] = universe
-        self._col = {q: i for i, q in enumerate(universe)}
-        self.values = np.array(
-            [[vf[q] for q in universe] for vf in value_functions], dtype=np.int64
-        )
-        n = len(value_functions)
-        self._seen = np.zeros(len(universe), dtype=bool)
-        self._top = np.zeros((n, capacity), dtype=np.int64)
+        self.table = table
+        self.values = table.values
+        self._column = table.column
+        self._seen = np.zeros(self.values.shape[1], dtype=bool)
+        self._top = np.zeros((table.n, capacity), dtype=np.int64)
         self._answers: dict[int, Answer] = {}
         self._active_mask: np.ndarray | None = None  # cached per active-set version
         self._active_token: object = object()
@@ -307,14 +393,6 @@ class ThresholdValueSuite:
     @property
     def n(self) -> int:
         return self.values.shape[0]
-
-    def _column(self, question: QuestionId) -> int:
-        try:
-            return self._col[question]
-        except KeyError:
-            raise KeyError(
-                f"question {question!r} is outside the declared universe"
-            ) from None
 
     def offer(self, fact: Fact) -> tuple[QuestionId, ...] | None:
         col = self._column(fact.question)
@@ -369,7 +447,7 @@ class ThresholdValueSuite:
             cutoff = self._top[e, 0]
             kept = seen_cols[self.values[e, seen_cols] >= cutoff]
             out.append(
-                frozenset(Fact(self.universe[c], self._answers[c]) for c in kept)
+                frozenset(Fact(self.table.universe[c], self._answers[c]) for c in kept)
             )
         return out
 
@@ -378,9 +456,8 @@ class ThresholdValueSuite:
         if not seen_cols.size:
             return set()
         anyone = (self.values[:, seen_cols] >= self._top[:, :1]).any(axis=0)
-        return {
-            Fact(self.universe[c], self._answers[c]) for c in seen_cols[anyone]
-        }
+        universe = self.table.universe
+        return {Fact(universe[c], self._answers[c]) for c in seen_cols[anyone]}
 
 
 class ScriptedSuite:
@@ -508,11 +585,7 @@ class OracleHandle:
         """How many experts under the ``active`` mask (array or list of
         bools) store the fact for ``question``. ``token`` identifies the
         mask's version so suites can cache per-mask aggregates."""
-        counter = getattr(self.suite, "count_active", None)
-        if counter is not None:
-            return counter(question, active, token)
-        know = self.suite.knows(question)
-        return sum(1 for i in range(self.n) if active[i] and know[i])
+        return self.suite.count_active(question, active, token)
 
 
 def oracle_query(oracle: OracleHandle, expert: str | int, question: QuestionId) -> bool:
@@ -528,16 +601,21 @@ def true_mistake_update(suite: ExpertSuite, question: QuestionId) -> np.ndarray:
 
 def random_value_suite(
     n_experts: int, universe: Sequence[QuestionId], seed: int
-) -> list[ValueFunction]:
+) -> ValueTable:
     """One independent random injective scoring per expert (a permutation of
-    1..|universe|), deterministic in the seed."""
+    1..|universe| over ``universe`` in the given order), deterministic in the
+    seed. Columns follow ``sorted(universe, key=str)``."""
     rng = random.Random(seed)
-    out = []
-    for _ in range(n_experts):
-        scores = list(range(1, len(universe) + 1))
+    u = len(universe)
+    order = sorted(range(u), key=lambda i: str(universe[i]))
+    position = np.empty(u, dtype=np.int64)  # column of universe[i]
+    position[order] = np.arange(u)
+    values = np.empty((n_experts, u), dtype=np.int64)
+    for e in range(n_experts):
+        scores = list(range(1, u + 1))
         rng.shuffle(scores)
-        out.append(ValueFunction(dict(zip(universe, scores))))
-    return out
+        values[e, position] = scores
+    return ValueTable([universe[i] for i in order], values)
 
 
 def _scripted_recency(n: int, capacity: int) -> ScriptedSuite:

@@ -22,7 +22,6 @@ import json
 import random
 import warnings
 from dataclasses import dataclass, field
-from typing import Sequence
 
 import numpy as np
 
@@ -206,15 +205,33 @@ class RunConfig:
             raise ConfigError("oracle backing must be auto, simulation, or threshold")
 
 
-def _parse_kv(body: str, spec: str) -> dict[str, str]:
+# Option keys each spec kind accepts; anything else is rejected.
+SPEC_KEYS = {
+    "random": ("universe", "T", "teach", "seed"),
+    "lowerbound": ("c", "N", "M", "opt"),
+    "scripted": ("N",),
+    "values": ("N", "universe", "seed"),
+}
+
+# Grid keys `sweep` reads, each a RunConfig field.
+SWEEP_KEYS = ("learner", "adversary", "experts", "M", "seed", "gamma", "backing")
+
+
+def _parse_kv(body: str, spec: str, kind: str) -> dict[str, str]:
     out: dict[str, str] = {}
     if not body:
         return out
+    allowed = SPEC_KEYS[kind]
     for part in body.split(","):
         if "=" not in part:
             raise ConfigError(f"malformed option {part!r} in {spec!r}")
         key, value = part.split("=", 1)
-        out[key.strip()] = value.strip()
+        key = key.strip()
+        if key not in allowed:
+            raise ConfigError(
+                f"unknown option {key!r} in {spec!r}; {kind} specs take {', '.join(allowed)}"
+            )
+        out[key] = value.strip()
     return out
 
 
@@ -239,7 +256,7 @@ def build_adversary(config: RunConfig) -> adv.Adversary:
         raise ConfigError(f"unsupported adversary spec {spec!r}")
     kind, _, body = spec.partition(":")
     if kind == "random":
-        options = _parse_kv(body, spec)
+        options = _parse_kv(body, spec, kind)
         universe = _int_opt(options, "universe", spec)
         length = _int_opt(options, "T", spec)
         seed = _int_opt(options, "seed", spec, default=config.seed)
@@ -251,7 +268,7 @@ def build_adversary(config: RunConfig) -> adv.Adversary:
             adv.random_stream(universe, length, teach_fraction, seed)
         )
     if kind == "lowerbound":
-        options = _parse_kv(body, spec)
+        options = _parse_kv(body, spec, kind)
         c = _int_opt(options, "c", spec)
         n = _int_opt(options, "N", spec)
         m = _int_opt(options, "M", spec)
@@ -276,31 +293,29 @@ def build_adversary(config: RunConfig) -> adv.Adversary:
 
 
 def _value_suite(
-    value_functions: Sequence[exp.ValueFunction], capacity: int, backing: str
+    table: exp.ValueTable, capacity: int, backing: str
 ) -> exp.SimulatedValueSuite | exp.ThresholdValueSuite:
     if backing == "simulation":
-        return exp.SimulatedValueSuite(value_functions, capacity)
-    domains = {vf.domain for vf in value_functions}
-    if backing == "auto" and len(domains) > 1:
-        return exp.SimulatedValueSuite(value_functions, capacity)
-    return exp.ThresholdValueSuite(value_functions, capacity)
+        return exp.SimulatedValueSuite(table.value_functions(), capacity)
+    return exp.ThresholdValueSuite(table, capacity)
 
 
 def build_suite(config: RunConfig, adversary: adv.Adversary):
-    """Returns (suite, expert_ids, value_functions or None)."""
+    """Returns (suite, expert_ids, value table or None). A value-based suite
+    on the threshold backing holds that same table."""
     if isinstance(adversary, adv.LowerBoundAdversary):
         if config.experts is not None:
             raise ConfigError("lowerbound adversaries define their own expert suite")
-        vfs = list(adversary.value_functions)
-        suite = _value_suite(vfs, config.capacity, config.oracle_backing)
-        return suite, [f"e{i}" for i in range(len(vfs))], vfs
+        table = adversary.instance.table
+        suite = _value_suite(table, config.capacity, config.oracle_backing)
+        return suite, [f"e{i}" for i in range(table.n)], table
     if config.experts is None:
         raise ConfigError("an expert suite is required (file path or scripted:<name>,N=<int>)")
     spec = config.experts
     kind, _, body = spec.partition(":")
     if kind == "scripted":
         name, _, rest = body.partition(",")
-        options = _parse_kv(rest, spec)
+        options = _parse_kv(rest, spec, kind)
         n = _int_opt(options, "N", spec)
         try:
             suite = exp.build_scripted_suite(name, n, config.capacity)
@@ -310,32 +325,47 @@ def build_suite(config: RunConfig, adversary: adv.Adversary):
             raise ConfigError("scripted suites have no threshold backing")
         return suite, [f"e{i}" for i in range(n)], None
     if kind == "values":
-        options = _parse_kv(body, spec)
+        options = _parse_kv(body, spec, kind)
         n = _int_opt(options, "N", spec)
         universe = _int_opt(options, "universe", spec)
         seed = _int_opt(options, "seed", spec, default=config.seed + 1)
-        vfs = exp.random_value_suite(n, [f"q{i}" for i in range(universe)], seed)
-        suite = _value_suite(vfs, config.capacity, config.oracle_backing)
-        return suite, [f"e{i}" for i in range(n)], vfs
+        try:
+            table = exp.random_value_suite(n, [f"q{i}" for i in range(universe)], seed)
+        except ValueError as err:
+            raise ConfigError(f"{spec!r}: {err}") from None
+        suite = _value_suite(table, config.capacity, config.oracle_backing)
+        return suite, [f"e{i}" for i in range(n)], table
     path = body if kind == "file" else spec
     try:
         with open(path, encoding="utf-8") as handle:
-            table = exp.load_expert_suite(handle)
+            rows_by_id = exp.load_expert_suite(handle)
     except OSError as err:
         raise ConfigError(f"cannot read expert suite {path!r}: {err}") from None
     except ValueError as err:
         raise ConfigError(str(err)) from None
-    ids = sorted(table)
-    vfs = [exp.ValueFunction(table[eid]) for eid in ids]
-    suite = _value_suite(vfs, config.capacity, config.oracle_backing)
-    return suite, ids, vfs
+    ids = sorted(rows_by_id)
+    rows = [rows_by_id[eid] for eid in ids]
+    ragged = any(row.keys() != rows[0].keys() for row in rows)
+    if ragged and config.oracle_backing == "threshold":
+        raise ConfigError(
+            f"expert suite {path!r} is ragged; the threshold backing needs "
+            "every expert to score the same questions"
+        )
+    try:
+        if ragged:  # only the simulation can hold experts scoring different questions
+            vfs = [exp.ValueFunction(row) for row in rows]
+            return exp.SimulatedValueSuite(vfs, config.capacity), ids, None
+        table = exp.ValueTable.from_mappings(rows)
+    except ValueError as err:
+        raise ConfigError(f"expert suite {path!r}: {err}") from None
+    return _value_suite(table, config.capacity, config.oracle_backing), ids, table
 
 
 def build_learner(
     config: RunConfig,
     suite,
     oracle: exp.OracleHandle,
-    value_functions: Sequence[exp.ValueFunction] | None,
+    table: exp.ValueTable | None,
     adversary: adv.Adversary,
 ) -> lrn.Learner:
     name = config.learner
@@ -344,10 +374,12 @@ def build_learner(
     if name == "lazy":
         return lrn.LazyLearner(oracle, config.capacity)
     if name == "value-lazy":
-        if value_functions is None:
-            raise ConfigError("value-lazy requires a value-based expert suite")
-        universe = suite.universe if isinstance(suite, exp.ThresholdValueSuite) else None
-        return lrn.ValueLazyLearner(value_functions, config.capacity, universe=universe)
+        if table is None:
+            raise ConfigError(
+                "value-lazy requires a value-based expert suite in which every "
+                "expert scores the same questions"
+            )
+        return lrn.ValueLazyLearner(table, config.capacity)
     if name == "full-sim":
         return lrn.FullSimLearner(suite)
     if name == "random-evict":
@@ -366,9 +398,9 @@ def run_game(config: RunConfig) -> tuple[GameLedger, BoundReport]:
     more facts or parked questions than its declared class.
     """
     adversary = build_adversary(config)
-    suite, expert_ids, value_functions = build_suite(config, adversary)
+    suite, expert_ids, table = build_suite(config, adversary)
     oracle = exp.OracleHandle(suite, expert_ids)
-    learner = build_learner(config, suite, oracle, value_functions, adversary)
+    learner = build_learner(config, suite, oracle, table, adversary)
     if config.learner == "value-lazy" and not adversary.sequential:
         warnings.warn(
             "value-lazy guarantees assume evaluates only hit previously "
@@ -451,11 +483,11 @@ def run_game(config: RunConfig) -> tuple[GameLedger, BoundReport]:
             )
         if soundness:
             if t_bad is None and (learner.threshold_values() > suite.true_thresholds()).any():
-                t_bad = step
+                t_bad = len(ledger)
             if tpre_bad is None and (learner.pre_threshold_values() > tpre_star).any():
-                tpre_bad = step
+                tpre_bad = len(ledger)
             if err_bad is None and (learner.errors > ledger.expert_mistakes).any():
-                err_bad = step
+                err_bad = len(ledger)
 
     report = check_bounds(
         ledger,
@@ -520,6 +552,11 @@ def sweep(grid: dict, *, on_result=None) -> list[tuple[RunConfig, GameLedger, Bo
     """Run the cartesian product of a parameter grid, serially and in a
     deterministic order. Grid values may be scalars or lists."""
     keys = sorted(grid)
+    unknown = [k for k in keys if k not in SWEEP_KEYS]
+    if unknown:
+        raise ConfigError(
+            f"unknown grid keys {unknown}; a grid takes {', '.join(SWEEP_KEYS)}"
+        )
     lists = [grid[k] if isinstance(grid[k], list) else [grid[k]] for k in keys]
     results = []
     for combo in itertools.product(*lists):
@@ -530,6 +567,8 @@ def sweep(grid: dict, *, on_result=None) -> list[tuple[RunConfig, GameLedger, Bo
             experts=options.get("experts"),
             capacity=int(options.get("M", 1)),
             seed=int(options.get("seed", 0)),
+            gamma=float(options.get("gamma", 0.5)),
+            oracle_backing=options.get("backing", "auto"),
         )
         ledger, report = run_game(config)
         results.append((config, ledger, report))
@@ -582,7 +621,7 @@ def _verify_replay_equivalence(rng: random.Random, rounds: int) -> tuple[bool, s
     for _ in range(rounds):
         universe = [f"q{i}" for i in range(rng.randrange(2, 12))]
         capacity = rng.randrange(1, 5)
-        vf = exp.random_value_suite(1, universe, rng.randrange(10**6))[0]
+        vf = exp.random_value_suite(1, universe, rng.randrange(10**6)).value_function(0)
         state = exp.ValueBasedExpertState(vf, capacity)
         offered: list[str] = []
         for _ in range(rng.randrange(1, 30)):
@@ -601,9 +640,9 @@ def _verify_oracle_equivalence(rng: random.Random, rounds: int) -> tuple[bool, s
         universe = [f"q{i}" for i in range(rng.randrange(3, 10))]
         n = rng.randrange(1, 5)
         capacity = rng.randrange(1, 4)
-        vfs = exp.random_value_suite(n, universe, rng.randrange(10**6))
-        sim = exp.SimulatedValueSuite(vfs, capacity)
-        thr = exp.ThresholdValueSuite(vfs, capacity)
+        table = exp.random_value_suite(n, universe, rng.randrange(10**6))
+        sim = exp.SimulatedValueSuite(table.value_functions(), capacity)
+        thr = exp.ThresholdValueSuite(table, capacity)
         for _ in range(rng.randrange(1, 25)):
             q = universe[rng.randrange(len(universe))]
             fact = Fact(q, f"a-{q}")
@@ -681,7 +720,7 @@ def _verify_lower_bound(seed: int) -> tuple[bool, str]:
             learner=learner, adversary=adversary, capacity=capacity, seed=seed
         )
         ledger, _ = run_game(config)
-        need = _floor_log(2 * c, n) * (capacity // 2) + opt
+        need = adv._floor_log(2 * c, n) * (capacity // 2) + opt
         survivors = adversary.surviving_experts()
         best = int(min(ledger.expert_mistakes[e] for e in survivors))
         if ledger.learner_mistakes < need:
@@ -689,14 +728,6 @@ def _verify_lower_bound(seed: int) -> tuple[bool, str]:
         if best > opt:
             return False, f"{learner}: surviving expert made {best} > {opt} mistakes"
     return True, "forced-mistake floor holds at matching memory class"
-
-
-def _floor_log(base: int, n: int) -> int:
-    k, power = 0, 1
-    while power * base <= n:
-        power *= base
-        k += 1
-    return k
 
 
 def _verify_determinism(seed: int) -> tuple[bool, str]:

@@ -23,7 +23,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .experts import ExpertSuite, OracleHandle, SENTINEL_VALUE, ValueFunction
+from .experts import ExpertSuite, OracleHandle, SENTINEL_VALUE, ValueTable
 from .model import Answer, QuestionId
 
 
@@ -183,8 +183,7 @@ class LazyLearner(Learner):
         self._bad: list[int] = []  # active experts at or past the error cap
         self._counts: dict[QuestionId, int] = {}  # savers among active, per stored fact
         self._counts_generation = self.generation
-        suite = getattr(oracle, "suite", None)
-        self._count_fn = getattr(suite, "count_active", None) or oracle.count_active
+        self._count_fn = oracle.count_active
         self.aux_state_count = 2 * self.n  # error counts and active flags
 
     def observe_evaluation(self, question: QuestionId, know: np.ndarray | None = None) -> None:
@@ -274,32 +273,16 @@ class ValueLazyLearner(_ActiveSetMixin, Learner):
     the estimated majority would have avoided are parked in a bounded
     question-only buffer until a second cutoff estimate can classify them.
 
-    Cutoffs are stored as the attaining question id (one auxiliary entry
-    each); values are recomputed from the table on demand.
+    Cutoffs are stored as the attaining question's column (one auxiliary
+    entry each); values are read from the shared table on demand.
     """
 
     name = "value-lazy"
 
-    def __init__(
-        self,
-        value_functions: Sequence[ValueFunction],
-        capacity: int,
-        universe: Sequence[QuestionId] | None = None,
-    ):
-        super().__init__(len(value_functions), capacity)
-        domain = value_functions[0].domain
-        for i, vf in enumerate(value_functions):
-            if vf.domain != domain:
-                raise ValueError(f"expert {i} declares a different question universe")
-        self.universe: list[QuestionId] = (
-            list(universe) if universe is not None else sorted(domain, key=str)
-        )
-        if set(self.universe) != set(domain):
-            raise ValueError("universe does not match the value functions' domain")
-        self._col = {q: i for i, q in enumerate(self.universe)}
-        self.values = np.array(
-            [[vf[q] for q in self.universe] for vf in value_functions], dtype=np.int64
-        )
+    def __init__(self, table: ValueTable, capacity: int):
+        super().__init__(table.n, capacity)
+        self.values = table.values  # shared by reference, never copied
+        self._column = table.column
         self._rows = np.arange(self.n)
         self._init_active()
         self.t_col = np.full(self.n, -1, dtype=np.int64)
@@ -317,12 +300,6 @@ class ValueLazyLearner(_ActiveSetMixin, Learner):
     @property
     def question_memory_size(self) -> int:
         return len(self.minor)
-
-    def _column(self, question: QuestionId) -> int:
-        try:
-            return self._col[question]
-        except KeyError:
-            raise KeyError(f"value functions undefined on question {question!r}") from None
 
     def _col_values(self, cols: np.ndarray) -> np.ndarray:
         defined = cols >= 0

@@ -287,9 +287,9 @@ def test_criterion_5_oracle_equivalence() -> None:
         n = rng.randrange(1, 7)
         capacity = rng.randrange(1, 6)
         qs = [f"q{i}" for i in range(size)]
-        vfs_r = random_value_suite(n, qs, rng.randrange(10**9))
-        sim = SimulatedValueSuite(vfs_r, capacity)
-        thr = ThresholdValueSuite(vfs_r, capacity)
+        table = random_value_suite(n, qs, rng.randrange(10**9))
+        sim = SimulatedValueSuite(table.value_functions(), capacity)
+        thr = ThresholdValueSuite(table, capacity)
         taught: list[str] = []
         for _ in range(rng.randrange(8, 24)):
             if taught and rng.random() < 0.4:
@@ -414,7 +414,7 @@ def test_criterion_8_value_expert_semantics() -> None:
         size = rng.randrange(2, 21)
         capacity = rng.randrange(1, 6)
         qs = [f"q{i}" for i in range(size)]
-        vf = random_value_suite(1, qs, rng.randrange(10**9))[0]
+        vf = random_value_suite(1, qs, rng.randrange(10**9)).value_function(0)
         state = ValueBasedExpertState(vf, capacity)
         offered: list[str] = []
         for _ in range(rng.randrange(1, 40)):

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import io
 
+import numpy as np
 import pytest
 
 from factgame.adversaries import (
@@ -10,8 +11,8 @@ from factgame.adversaries import (
     build_lower_bound_instance,
     random_stream,
 )
-from factgame.experts import ValueBasedExpertState, vb_offer
-from factgame.harness import RunConfig, run_game
+from factgame.experts import OracleHandle, ValueBasedExpertState, vb_offer
+from factgame.harness import RunConfig, build_adversary, build_learner, build_suite, run_game
 from factgame.model import dump_stream, validate_sequential
 
 
@@ -81,7 +82,7 @@ class TestLowerBoundInstance:
     def test_out_of_block_values_sit_below_every_block(self) -> None:
         inst = build_lower_bound_instance(c=1, n_experts=4, capacity=2, opt=1)
         for e, coords in enumerate(inst.leaf_coords):
-            vf = inst.value_functions[e]
+            vf = inst.table.value_function(e)
             block_questions = {
                 f.question
                 for k in range(1, inst.depth + 1)
@@ -100,12 +101,35 @@ class TestLowerBoundInstance:
     def test_expert_holds_exactly_its_block_after_each_collection(self) -> None:
         inst = build_lower_bound_instance(c=1, n_experts=8, capacity=2, opt=0)
         for e, coords in enumerate(inst.leaf_coords):
-            state = ValueBasedExpertState(inst.value_functions[e], inst.capacity)
+            state = ValueBasedExpertState(inst.table.value_function(e), inst.capacity)
             for k in range(1, inst.depth + 1):
                 for fact in inst.collections[k - 1]:
                     state = vb_offer(state, fact)
                 expected = {f.question for f in inst.block(k, coords[k - 1])}
                 assert state.stored_questions() == expected
+
+    @pytest.mark.parametrize(
+        "c,n,capacity,opt",
+        [(1, 2, 1, 0), (1, 5, 1, 0), (1, 8, 2, 1), (2, 4, 3, 2), (2, 19, 2, 1), (3, 40, 2, 1)],
+    )
+    def test_table_matches_dict_construction(self, c, n, capacity, opt) -> None:
+        # Reference: the per-expert dict construction the table replaces.
+        inst = build_lower_bound_instance(c, n, capacity, opt)
+        base = {q: g + 1 for g, q in enumerate(inst.universe)}
+        floor = len(inst.universe)
+        assert inst.table.universe == tuple(sorted(inst.universe, key=str))
+        assert inst.table.values.shape == (n, floor)
+        for e in range(n):
+            values = dict(base)
+            leaf = inst.leaf_coords[e]
+            if leaf is not None:
+                for k in range(1, inst.depth + 1):
+                    i_k = leaf[k - 1]
+                    for rank, j in enumerate(
+                        range(capacity * (i_k - 1) + 1, capacity * i_k + 1), start=1
+                    ):
+                        values[f"c{k}.{j}"] = floor + (k - 1) * capacity + rank
+            assert inst.table.value_function(e).values == values
 
     def test_opt_rounds_supply_fresh_facts(self) -> None:
         inst = build_lower_bound_instance(c=2, n_experts=4, capacity=3, opt=2)
@@ -215,3 +239,17 @@ def test_construction_forces_budgeted_learner_at_c1() -> None:
             int(ledger.expert_mistakes[e]) for e in adversary.surviving_experts()
         )
         assert best <= opt
+
+
+def test_value_lazy_shares_the_instance_table() -> None:
+    config = RunConfig(
+        learner="value-lazy",
+        adversary="lowerbound:c=2,N=16,M=2,opt=1",
+        capacity=2,
+        oracle_backing="threshold",
+    )
+    adversary = build_adversary(config)
+    suite, ids, table = build_suite(config, adversary)
+    learner = build_learner(config, suite, OracleHandle(suite, ids), table, adversary)
+    assert table is adversary.instance.table
+    assert np.shares_memory(learner.values, suite.values)

@@ -18,6 +18,7 @@ from factgame.experts import (
     ThresholdValueSuite,
     ValueBasedExpertState,
     ValueFunction,
+    ValueTable,
     build_scripted_suite,
     dump_expert_suite,
     load_expert_suite,
@@ -27,6 +28,7 @@ from factgame.experts import (
     vb_offer,
     vb_true_threshold,
 )
+from factgame.harness import RunConfig, build_adversary, build_learner, build_suite
 from factgame.model import Fact
 
 
@@ -154,10 +156,10 @@ class TestOracleBackings:
         rng = random.Random(7)
         for _ in range(40):
             universe = [f"q{i}" for i in range(rng.randrange(3, 12))]
-            vfs = random_value_suite(rng.randrange(1, 6), universe, rng.randrange(10**6))
+            table = random_value_suite(rng.randrange(1, 6), universe, rng.randrange(10**6))
             capacity = rng.randrange(1, 5)
-            sim = SimulatedValueSuite(vfs, capacity)
-            thr = ThresholdValueSuite(vfs, capacity)
+            sim = SimulatedValueSuite(table.value_functions(), capacity)
+            thr = ThresholdValueSuite(table, capacity)
             for _ in range(rng.randrange(1, 40)):
                 q = rng.choice(universe)
                 sim.offer(fact(q))
@@ -176,13 +178,15 @@ class TestOracleBackings:
         assert oracle.query(0, "q1") is True
         with pytest.raises(KeyError):
             oracle.query(1, "q2")
-        thr = ThresholdValueSuite([vf(q1=1, q2=2)], capacity=1)
+        thr = ThresholdValueSuite(ValueTable.from_mappings([{"q1": 1, "q2": 2}]), capacity=1)
         with pytest.raises(KeyError):
             thr.knows("q9")
 
     def test_rectangular_table_required_for_threshold_backing(self) -> None:
         with pytest.raises(ValueError):
-            ThresholdValueSuite([vf(q1=1, q2=2), vf(q1=4)], capacity=1)
+            ThresholdValueSuite(
+                ValueTable.from_mappings([{"q1": 1, "q2": 2}, {"q1": 4}]), capacity=1
+            )
 
 
 def test_true_mistake_update_examples() -> None:
@@ -266,6 +270,86 @@ def test_random_value_suite_deterministic_and_injective() -> None:
     universe = [f"q{i}" for i in range(10)]
     first = random_value_suite(4, universe, seed=9)
     second = random_value_suite(4, universe, seed=9)
-    assert [f.values for f in first] == [s.values for s in second]
+    assert np.array_equal(first.values, second.values)
     other = random_value_suite(4, universe, seed=10)
-    assert [f.values for f in first] != [o.values for o in other]
+    assert not np.array_equal(first.values, other.values)
+    for row in first.values:
+        assert sorted(row) == list(range(1, 11))
+
+
+def _dict_random_value_suite(n_experts, universe, seed) -> list[dict]:
+    """Reference: the per-expert dict construction the table replaces."""
+    rng = random.Random(seed)
+    out = []
+    for _ in range(n_experts):
+        scores = list(range(1, len(universe) + 1))
+        rng.shuffle(scores)
+        out.append(dict(zip(universe, scores)))
+    return out
+
+
+class TestValueTable:
+    @pytest.mark.parametrize("n,size,seed", [(1, 1, 0), (3, 12, 5), (7, 23, 11), (4, 101, 2)])
+    def test_random_table_matches_dict_construction(self, n, size, seed) -> None:
+        universe = [f"q{i}" for i in range(size)]
+        random.Random(seed).shuffle(universe)  # input order need not be column order
+        table = random_value_suite(n, universe, seed)
+        assert table.universe == tuple(sorted(universe, key=str))
+        assert table.values.shape == (n, size)
+        assert table.values.dtype == np.int64
+        assert table.column(table.universe[-1]) == size - 1
+        expected = _dict_random_value_suite(n, universe, seed)
+        for e in range(n):
+            assert dict(zip(table.universe, table.values[e].tolist())) == expected[e]
+            assert table.value_function(e).values == expected[e]
+
+    def test_rejects_non_natural_values(self) -> None:
+        with pytest.raises(ValueError, match=">= 1"):
+            ValueTable(["a", "b"], [[1, 2], [2, 0]])
+        with pytest.raises(ValueError, match="integers"):
+            ValueTable(["a", "b"], [[True, False]])
+
+    def test_rejects_a_value_repeated_within_a_row(self) -> None:
+        with pytest.raises(ValueError, match="injective"):
+            ValueTable(["a", "b", "c"], [[1, 2, 3], [3, 1, 3]])
+        # the same value in different rows is legal
+        ValueTable(["a", "b"], [[1, 2], [1, 2]])
+
+    def test_rejects_a_ragged_table(self) -> None:
+        with pytest.raises(ValueError, match="rectangular"):
+            ValueTable(["a", "b"], [[1, 2], [1]])
+        with pytest.raises(ValueError):
+            ValueTable(["a", "b"], [1, 2])
+        with pytest.raises(ValueError):
+            ValueTable(["a", "b", "c"], [[1, 2]])
+        with pytest.raises(ValueError, match="rectangular"):
+            ValueTable.from_mappings([{"a": 1, "b": 2}, {"a": 1, "c": 2}])
+
+    def test_table_is_read_only(self) -> None:
+        table = random_value_suite(3, ["a", "b", "c"], seed=1)
+        assert not table.values.flags.writeable
+        with pytest.raises(ValueError):
+            table.values[0, 0] = 7
+        with pytest.raises(ValueError):
+            table.values.sort(axis=1)
+
+    def test_unknown_question_is_outside_the_universe(self) -> None:
+        table = ValueTable.from_mappings([{"a": 2, "b": 1}])
+        assert table.universe == ("a", "b")
+        with pytest.raises(KeyError, match="outside the declared universe"):
+            table.column("z")
+
+
+def test_value_lazy_shares_the_suites_table() -> None:
+    config = RunConfig(
+        learner="value-lazy",
+        adversary="random:universe=12,T=50,seed=3",
+        experts="values:N=5,universe=12,seed=4",
+        capacity=2,
+        oracle_backing="threshold",
+    )
+    adversary = build_adversary(config)
+    suite, ids, table = build_suite(config, adversary)
+    learner = build_learner(config, suite, OracleHandle(suite, ids), table, adversary)
+    assert suite.table is table
+    assert np.shares_memory(learner.values, suite.values)

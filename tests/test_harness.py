@@ -5,18 +5,21 @@ import json
 import numpy as np
 import pytest
 
+from factgame import harness
 from factgame.cli import main
 from factgame.harness import (
     AUX_CAP_FACTOR,
     ConfigError,
     RunConfig,
     build_adversary,
+    build_suite,
     ceil_log2,
     ceil_log_3_2,
     check_bounds,
     derived_mistake_cap,
     emit_outputs,
     run_game,
+    sweep,
     verify,
 )
 from factgame.model import CSV_HEADER, GameLedger, Stream, evaluate, teach
@@ -183,6 +186,45 @@ class TestCheckBounds:
         assert report.check("aux_state").passed
 
 
+def test_soundness_check_reports_an_injected_overestimate(monkeypatch) -> None:
+    # From step `inject_at` on, value-lazy reports cutoffs one above the
+    # true ones; the soundness check must fail there, not raise.
+    inject_at = 40
+    build = harness.build_learner
+
+    def build_overestimating(config, suite, *rest):
+        learner = build(config, suite, *rest)
+        update = learner.update_memory
+        steps = 0
+
+        def update_memory(question, answer, changed=None):
+            nonlocal steps
+            update(question, answer, changed)
+            steps += 1
+            if steps == inject_at:
+                learner.threshold_values = lambda: suite.true_thresholds() + 1
+
+        learner.update_memory = update_memory
+        return learner
+
+    monkeypatch.setattr(harness, "build_learner", build_overestimating)
+    config = RunConfig(
+        learner="value-lazy",
+        adversary="random:universe=16,T=100,teach=0.5,seed=2",
+        experts="values:N=4,universe=16,seed=3",
+        capacity=2,
+        verify_soundness=True,
+    )
+    _, report = run_game(config)
+    check = report.check("threshold_underestimates")
+    assert not check.passed
+    assert check.first_violation == inject_at
+    assert not report.passed
+    assert f"threshold_underestimates: FAIL worst slack 0 first violation at t={inject_at}" in (
+        report.format_lines()
+    )
+
+
 class TestOutputs:
     def test_csv_row_count_and_summary_consistency(self, tmp_path) -> None:
         config = RunConfig(
@@ -254,6 +296,36 @@ class TestConfigErrors:
                 build_adversary(RunConfig(learner="lazy", adversary=spec))
         with pytest.raises(ConfigError):
             run_game(RunConfig(learner="lazy", adversary="random:universe=4,T=4"))
+
+    @pytest.mark.parametrize(
+        "field,spec",
+        [
+            ("adversary", "random:universe=8,T=10,teach=0.5,length=9"),
+            ("adversary", "lowerbound:c=1,N=4,M=2,opt=0,depth=3"),
+            ("experts", "scripted:recency,N=4,M=2"),
+            ("experts", "values:N=4,universe=8,backing=x"),
+        ],
+    )
+    def test_unknown_spec_keys(self, field, spec) -> None:
+        options = {"adversary": "random:universe=8,T=10", "experts": None, field: spec}
+        config = RunConfig(learner="lazy", capacity=2, **options)
+        with pytest.raises(ConfigError, match="unknown option"):
+            build_suite(config, build_adversary(config))
+
+    def test_ragged_suite_file_has_no_threshold_backing(self, tmp_path) -> None:
+        suite_path = tmp_path / "ragged.suite"
+        suite_path.write_text(
+            "expert e0 value q0 1\nexpert e0 value q1 2\nexpert e1 value q0 3\n"
+        )
+        for learner, backing in (("lazy", "threshold"), ("value-lazy", "auto")):
+            config = RunConfig(
+                learner=learner,
+                adversary="random:universe=2,T=10",
+                experts=str(suite_path),
+                oracle_backing=backing,
+            )
+            with pytest.raises(ConfigError):
+                run_game(config)
 
     def test_missing_files(self, tmp_path) -> None:
         with pytest.raises(ConfigError):
@@ -357,6 +429,32 @@ class TestCli:
         assert main(["sweep", "--grid", str(grid_path)]) == 0
         out = capsys.readouterr().out
         assert out.count("PASS") == 8
+
+
+class TestSweep:
+    def test_unknown_grid_key_rejected(self) -> None:
+        with pytest.raises(ConfigError, match="oracle_backing"):
+            sweep({"learner": "lazy", "oracle_backing": ["threshold"]})
+
+    def test_gamma_and_backing_reach_the_run(self) -> None:
+        grid = {
+            "learner": "mwu",
+            "adversary": "random:universe=12,T=400,teach=0.5,seed=4",
+            "experts": "values:N=6,universe=12,seed=5",
+            "M": 2,
+            "gamma": [0.1, 0.9],
+            "backing": ["simulation", "threshold"],
+        }
+        results = sweep(grid)
+        runs = {(c.gamma, c.oracle_backing): ledger for c, ledger, _ in results}
+        assert sorted(runs) == [
+            (0.1, "simulation"), (0.1, "threshold"), (0.9, "simulation"), (0.9, "threshold")
+        ]
+        for gamma in (0.1, 0.9):
+            assert runs[gamma, "simulation"].costs == runs[gamma, "threshold"].costs
+        assert runs[0.1, "threshold"].costs != runs[0.9, "threshold"].costs
+        with pytest.raises(ConfigError, match="threshold"):
+            sweep({"experts": "scripted:recency,N=2", "backing": "threshold"})
 
 
 def test_verify_battery_full() -> None:

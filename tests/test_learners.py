@@ -12,6 +12,7 @@ from factgame.experts import (
     SimulatedValueSuite,
     ThresholdValueSuite,
     ValueFunction,
+    ValueTable,
     build_scripted_suite,
     random_value_suite,
 )
@@ -196,9 +197,9 @@ def test_lazy_matches_naive_reference_on_random_streams() -> None:
         kind = rng.choice(["recency", "first-vs-last", "striped", "values"])
         stream = random_stream(universe, 350, rng.choice([0.3, 0.5, 0.8]), trial)
         if kind == "values":
-            vfs = random_value_suite(n, [f"q{i}" for i in range(universe)], trial + 99)
-            fast_suite = ThresholdValueSuite(vfs, capacity)
-            slow_suite = ThresholdValueSuite(vfs, capacity)
+            table = random_value_suite(n, [f"q{i}" for i in range(universe)], trial + 99)
+            fast_suite = ThresholdValueSuite(table, capacity)
+            slow_suite = ThresholdValueSuite(table, capacity)
         else:
             fast_suite = build_scripted_suite(kind, n, capacity)
             slow_suite = build_scripted_suite(kind, n, capacity)
@@ -293,10 +294,10 @@ def test_value_lazy_matches_naive_reference_on_random_streams() -> None:
         capacity = rng.choice([1, 2, 4])
         universe_size = rng.choice([8, 16, 24])
         universe = [f"q{i}" for i in range(universe_size)]
-        vfs = random_value_suite(n, universe, trial + 7)
+        table = random_value_suite(n, universe, trial + 7)
         stream = random_stream(universe_size, 350, rng.choice([0.3, 0.5, 0.8]), trial)
-        fast = ValueLazyLearner(vfs, capacity, universe=sorted(universe))
-        slow = NaiveValueLazy(vfs, capacity)
+        fast = ValueLazyLearner(table, capacity)
+        slow = NaiveValueLazy(table.value_functions(), capacity)
         for event in stream:
             if event.is_evaluate:
                 fast.observe_evaluation(event.question)
@@ -314,9 +315,7 @@ def test_value_lazy_matches_naive_reference_on_random_streams() -> None:
 
 
 def make_value_lazy(values_by_expert, capacity):
-    universe = sorted(values_by_expert[0])
-    vfs = [ValueFunction(v) for v in values_by_expert]
-    return ValueLazyLearner(vfs, capacity, universe=universe)
+    return ValueLazyLearner(ValueTable.from_mappings(values_by_expert), capacity)
 
 
 class TestValueLazyPhases:
@@ -488,8 +487,8 @@ class TestBaselines:
         assert set(learner.memory) == {"c"}
 
     def test_full_sim_never_loses_to_the_best_expert(self) -> None:
-        vfs = random_value_suite(4, [f"q{i}" for i in range(12)], 3)
-        suite = ThresholdValueSuite(vfs, capacity=2)
+        table = random_value_suite(4, [f"q{i}" for i in range(12)], 3)
+        suite = ThresholdValueSuite(table, capacity=2)
         learner = FullSimLearner(suite)
         for event in random_stream(12, 600, 0.5, 5):
             if event.is_evaluate:
@@ -516,11 +515,13 @@ def test_lazy_identical_traces_under_both_oracle_backings() -> None:
     # drive the learner identically, step for step.
     for trial in range(6):
         universe = [f"q{i}" for i in range(20)]
-        vfs = random_value_suite(5, universe, trial)
+        table = random_value_suite(5, universe, trial)
         stream = random_stream(20, 800, 0.5, trial + 50)
         traces = []
-        for suite_cls in (SimulatedValueSuite, ThresholdValueSuite):
-            suite = suite_cls(vfs, 2)
+        for suite in (
+            SimulatedValueSuite(table.value_functions(), 2),
+            ThresholdValueSuite(table, 2),
+        ):
             learner = LazyLearner(OracleHandle(suite), 2)
             trace = []
             for event in stream:
