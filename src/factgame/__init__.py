@@ -24,9 +24,7 @@ from .experts import (
     ValueTable,
     build_scripted_suite,
     load_expert_suite,
-    oracle_query,
     random_value_suite,
-    true_mistake_update,
     vb_offer,
     vb_true_threshold,
 )
@@ -40,8 +38,8 @@ from .harness import (
     emit_outputs,
     run_game,
     sweep,
-    verify,
 )
+from .invariants import verify
 from .learners import (
     FullSimLearner,
     LazyLearner,

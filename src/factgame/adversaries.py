@@ -2,9 +2,9 @@
 streams, and an adaptive two-phase construction that inspects the learner's
 memory and always examines it on a block of facts it mostly dropped.
 
-Adaptive adversaries implement ``next_event(history, memory_view)`` where
+Adaptive adversaries implement ``next_event(memory_view)`` where
 ``memory_view`` is a read-only view of the learner's currently stored
-questions; fixed streams ignore both arguments.
+questions; fixed streams ignore it.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ class Adversary:
 
     sequential = False
 
-    def next_event(self, history: Sequence[Event], memory_view: Container[QuestionId]) -> Event | None:
+    def next_event(self, memory_view: Container[QuestionId]) -> Event | None:
         raise NotImplementedError
 
 
@@ -41,7 +41,7 @@ class FixedStreamAdversary(Adversary):
         self.sequential = stream.sequential
         self._events = iter(stream.events)
 
-    def next_event(self, history, memory_view) -> Event | None:
+    def next_event(self, memory_view) -> Event | None:
         return next(self._events, None)
 
 
@@ -210,7 +210,7 @@ class LowerBoundAdversary(Adversary):
         self._view: Container[QuestionId] = frozenset()
         self._gen = self._plan()
 
-    def next_event(self, history, memory_view) -> Event | None:
+    def next_event(self, memory_view) -> Event | None:
         self._view = memory_view
         return next(self._gen, None)
 

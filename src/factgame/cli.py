@@ -19,8 +19,8 @@ from .harness import (
     load_grid,
     run_game,
     sweep,
-    verify,
 )
+from .invariants import verify
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1

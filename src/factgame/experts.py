@@ -588,17 +588,6 @@ class OracleHandle:
         return self.suite.count_active(question, active, token)
 
 
-def oracle_query(oracle: OracleHandle, expert: str | int, question: QuestionId) -> bool:
-    return oracle.query(expert, question)
-
-
-def true_mistake_update(suite: ExpertSuite, question: QuestionId) -> np.ndarray:
-    """Per-expert 0/1 cost vector for an evaluate of ``question`` against the
-    suite's current memories (ground truth for the ledger, never fed back
-    into learners except through the oracle)."""
-    return ~suite.knows(question)
-
-
 def random_value_suite(
     n_experts: int, universe: Sequence[QuestionId], seed: int
 ) -> ValueTable:

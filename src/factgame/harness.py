@@ -3,8 +3,8 @@
 ``run_game`` wires one adversary, one expert suite, and one learner through
 the step protocol:
 
-1. the adversary emits the next event (adaptive adversaries see the event
-   history and a read-only view of the learner's stored questions);
+1. the adversary emits the next event (adaptive adversaries see a
+   read-only view of the learner's stored questions);
 2. on an evaluate, costs are assessed for the learner and every expert
    against the memories as they stand, and the learner's evaluation phase
    runs against those same memories;
@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import itertools
 import json
-import random
 import warnings
 from dataclasses import dataclass, field
 
@@ -30,13 +29,11 @@ from . import experts as exp
 from . import learners as lrn
 from .model import (
     EVALUATE,
-    Event,
     Fact,
     GameLedger,
     QuestionId,
     Stream,
     load_stream,
-    validate_sequential,
 )
 
 AUX_CAP_FACTOR = 8  # auxiliary scalar entries allowed per expert
@@ -189,7 +186,6 @@ class RunConfig:
     seed: int = 0
     gamma: float = 0.5
     oracle_backing: str = "auto"  # auto | simulation | threshold
-    check_bounds: bool = True
     verify_soundness: bool = False
     csv_path: str | None = None
     summary_path: str | None = None
@@ -408,22 +404,20 @@ def run_game(config: RunConfig) -> tuple[GameLedger, BoundReport]:
             stacklevel=2,
         )
 
-    soundness = (
-        config.verify_soundness
-        and isinstance(learner, lrn.ValueLazyLearner)
-        and hasattr(suite, "true_thresholds")
-    )
+    soundness = config.verify_soundness and isinstance(learner, lrn.ValueLazyLearner)
     t_bad = tpre_bad = err_bad = None
+    if soundness:
+        # The true cutoffs, refreshed only after an offer that can move one.
+        true_cutoffs = suite.true_thresholds()
     tpre_star = np.zeros(suite.n, dtype=np.int64)
     last_generation = learner.generation
 
     ledger = GameLedger(suite.n)
     phi: dict[QuestionId, object] = {}
-    history: list[Event] = []
     memory_view = learner.memory.keys()  # live read-only view for the adversary
 
     while True:
-        event = adversary.next_event(history, memory_view)
+        event = adversary.next_event(memory_view)
         if event is None:
             break
         question = event.question
@@ -446,7 +440,7 @@ def run_game(config: RunConfig) -> tuple[GameLedger, BoundReport]:
             if soundness and learner.generation != last_generation:
                 # Snapshot the true cutoffs as they stood when the active set
                 # changed, before this step's memory updates.
-                tpre_star = suite.true_thresholds()
+                tpre_star = true_cutoffs
                 last_generation = learner.generation
         else:
             expert_costs = None
@@ -456,7 +450,6 @@ def run_game(config: RunConfig) -> tuple[GameLedger, BoundReport]:
         else:
             changed = ()
         learner.update_memory(question, answer, changed)
-        history.append(event)
         fact_mem = len(learner.memory)
         question_mem = learner.question_memory_size
         ledger.record_step(
@@ -482,7 +475,9 @@ def run_game(config: RunConfig) -> tuple[GameLedger, BoundReport]:
                 f"questions, beyond its declared budget {learner.question_budget}"
             )
         if soundness:
-            if t_bad is None and (learner.threshold_values() > suite.true_thresholds()).any():
+            if changed != ():
+                true_cutoffs = suite.true_thresholds()
+            if t_bad is None and (learner.threshold_values() > true_cutoffs).any():
                 t_bad = len(ledger)
             if tpre_bad is None and (learner.pre_threshold_values() > tpre_star).any():
                 tpre_bad = len(ledger)
@@ -589,185 +584,3 @@ def load_grid(path: str) -> dict:
         raise ConfigError("grid file must hold a JSON object of parameter lists")
     return grid
 
-
-# --- invariant battery (CLI `verify`) ---------------------------------------
-
-
-def _verify_sequential_scan(rng: random.Random, rounds: int) -> tuple[bool, str]:
-    for _ in range(rounds):
-        length = rng.randrange(0, 200)
-        events = []
-        for _ in range(length):
-            q = f"q{rng.randrange(8)}"
-            if rng.random() < 0.6:
-                events.append(Event("T", q, "a"))
-            else:
-                events.append(Event("E", q))
-        ok, idx = validate_sequential(events)
-        # quadratic reference: scan all earlier events for a matching teach
-        expect_ok, expect_idx = True, None
-        for i, event in enumerate(events):
-            if event.is_evaluate and not any(
-                e.kind == "T" and e.question == event.question for e in events[:i]
-            ):
-                expect_ok, expect_idx = False, i
-                break
-        if (ok, idx) != (expect_ok, expect_idx):
-            return False, f"scan disagrees with quadratic reference on {events}"
-    return True, f"{rounds} random streams"
-
-
-def _verify_replay_equivalence(rng: random.Random, rounds: int) -> tuple[bool, str]:
-    for _ in range(rounds):
-        universe = [f"q{i}" for i in range(rng.randrange(2, 12))]
-        capacity = rng.randrange(1, 5)
-        vf = exp.random_value_suite(1, universe, rng.randrange(10**6)).value_function(0)
-        state = exp.ValueBasedExpertState(vf, capacity)
-        offered: list[str] = []
-        for _ in range(rng.randrange(1, 30)):
-            q = universe[rng.randrange(len(universe))]
-            state = exp.vb_offer(state, Fact(q, f"a-{q}"))
-            if q not in offered:
-                offered.append(q)
-            expected = set(sorted(offered, key=lambda x: vf[x], reverse=True)[:capacity])
-            if state.stored_questions() != expected:
-                return False, f"memory diverged from top-{capacity} replay"
-    return True, f"{rounds} random offer sequences"
-
-
-def _verify_oracle_equivalence(rng: random.Random, rounds: int) -> tuple[bool, str]:
-    for _ in range(rounds):
-        universe = [f"q{i}" for i in range(rng.randrange(3, 10))]
-        n = rng.randrange(1, 5)
-        capacity = rng.randrange(1, 4)
-        table = exp.random_value_suite(n, universe, rng.randrange(10**6))
-        sim = exp.SimulatedValueSuite(table.value_functions(), capacity)
-        thr = exp.ThresholdValueSuite(table, capacity)
-        for _ in range(rng.randrange(1, 25)):
-            q = universe[rng.randrange(len(universe))]
-            fact = Fact(q, f"a-{q}")
-            sim.offer(fact)
-            thr.offer(fact)
-            for probe in universe:
-                if not np.array_equal(sim.knows(probe), thr.knows(probe)):
-                    return False, f"backings disagree on {probe}"
-    return True, f"{rounds} random suites"
-
-
-def _verify_majority_cap(rng: random.Random, rounds: int) -> tuple[bool, str]:
-    for _ in range(rounds):
-        n = rng.randrange(1, 10)
-        capacity = rng.randrange(1, 6)
-        n_facts = rng.randrange(0, 4 * capacity + 8)
-        weights = [rng.randrange(2) for _ in range(n)]
-        if not any(weights):
-            weights[rng.randrange(n)] = 1
-        stores = []
-        for _ in range(n):
-            k = rng.randrange(0, capacity + 1)
-            stores.append(set(rng.sample(range(n_facts), min(k, n_facts))))
-        total = sum(weights)
-        kept = [
-            f
-            for f in range(n_facts)
-            if 2 * sum(w for w, s in zip(weights, stores) if f in s) >= total
-        ]
-        if len(kept) > 2 * capacity:
-            return False, f"kept {len(kept)} facts with capacity {capacity}"
-    return True, f"{rounds} random majority instances"
-
-
-def _verify_run_bounds(seed: int, quick: bool) -> tuple[bool, str]:
-    length = 4000 if quick else 20000
-    failures = []
-    for learner, experts in (
-        ("lazy", "scripted:striped,N=8"),
-        ("lazy", "values:N=8,universe=32"),
-        ("value-lazy", "values:N=8,universe=32"),
-    ):
-        config = RunConfig(
-            learner=learner,
-            adversary=f"random:universe=32,T={length},teach=0.5,seed={seed}",
-            experts=experts,
-            capacity=4,
-            seed=seed,
-            verify_soundness=(learner == "value-lazy"),
-        )
-        _, report = run_game(config)
-        if not report.passed:
-            failed = [c.name for c in report.checks if c.gating and not c.passed]
-            failures.append(f"{learner}/{experts}: {failed}")
-    if failures:
-        return False, "; ".join(failures)
-    return True, f"3 seeded runs of length {length}"
-
-
-def _verify_lower_bound(seed: int) -> tuple[bool, str]:
-    # The construction's memory class must match the learner: the lazy
-    # learners hold up to 2M facts, so they face c=2 instances; the budgeted
-    # strawman faces c=1.
-    for learner, c, n in (("lazy", 2, 16), ("value-lazy", 2, 16), ("random-evict", 1, 8)):
-        capacity = 2
-        opt = 1
-        config = RunConfig(
-            learner=learner,
-            adversary=f"lowerbound:c={c},N={n},M={capacity},opt={opt}",
-            capacity=capacity,
-            seed=seed,
-        )
-        adversary = build_adversary(config)
-        config = RunConfig(
-            learner=learner, adversary=adversary, capacity=capacity, seed=seed
-        )
-        ledger, _ = run_game(config)
-        need = adv._floor_log(2 * c, n) * (capacity // 2) + opt
-        survivors = adversary.surviving_experts()
-        best = int(min(ledger.expert_mistakes[e] for e in survivors))
-        if ledger.learner_mistakes < need:
-            return False, f"{learner}: {ledger.learner_mistakes} mistakes < {need}"
-        if best > opt:
-            return False, f"{learner}: surviving expert made {best} > {opt} mistakes"
-    return True, "forced-mistake floor holds at matching memory class"
-
-
-def _verify_determinism(seed: int) -> tuple[bool, str]:
-    import io
-
-    outs = []
-    for _ in range(2):
-        config = RunConfig(
-            learner="lazy",
-            adversary=f"random:universe=16,T=2000,teach=0.5,seed={seed}",
-            experts="scripted:recency,N=4",
-            capacity=2,
-            seed=seed,
-        )
-        ledger, _ = run_game(config)
-        buf = io.StringIO()
-        ledger.to_csv(buf)
-        outs.append(buf.getvalue())
-    if outs[0] != outs[1]:
-        return False, "identical configs produced different CSVs"
-    return True, "byte-identical repeat run"
-
-
-def verify(seed: int = 0, quick: bool = False) -> tuple[bool, list[str]]:
-    """Run the invariant battery; returns (all passed, report lines)."""
-    rng = random.Random(seed)
-    rounds = 40 if quick else 200
-    battery = [
-        ("sequential-scan", lambda: _verify_sequential_scan(rng, rounds)),
-        ("value-expert-replay", lambda: _verify_replay_equivalence(rng, rounds)),
-        ("oracle-backings", lambda: _verify_oracle_equivalence(rng, max(20, rounds // 4))),
-        ("majority-memory-cap", lambda: _verify_majority_cap(rng, rounds * 10)),
-        ("run-bounds", lambda: _verify_run_bounds(seed, quick)),
-        ("lower-bound", lambda: _verify_lower_bound(seed)),
-        ("determinism", lambda: _verify_determinism(seed)),
-    ]
-    lines = []
-    all_ok = True
-    for name, check in battery:
-        ok, detail = check()
-        all_ok &= ok
-        lines.append(f"{'PASS' if ok else 'FAIL'} {name}: {detail}")
-    return all_ok, lines

@@ -15,28 +15,21 @@ failure.
 from __future__ import annotations
 
 import itertools
-import random
 import time
 from concurrent.futures import ProcessPoolExecutor
 
-import numpy as np
 import pytest
 
-from factgame.adversaries import (
-    LowerBoundAdversary,
-    PigeonholeError,
-    build_lower_bound_instance,
-    random_stream,
-)
-from factgame.experts import (
-    SimulatedValueSuite,
-    ThresholdValueSuite,
-    ValueBasedExpertState,
-    ValueFunction,
-    random_value_suite,
-    vb_offer,
-)
+from factgame.adversaries import random_stream
+from factgame.experts import ValueBasedExpertState, ValueFunction, vb_offer
 from factgame.harness import RunConfig, run_game
+from factgame.invariants import (
+    check_backings_agree,
+    check_majority_cap,
+    check_top_m_replay,
+    forced_floor_failures,
+    top_m_replay,
+)
 from factgame.learners import kth_largest
 from factgame.model import Fact
 
@@ -280,33 +273,13 @@ def test_criterion_5_oracle_equivalence() -> None:
         compare(start, frozenset())
         walk(start, frozenset(), 8)
 
-    rng = random.Random(55)
-    random_checked = 0
-    for _ in range(10_000):
-        size = rng.randrange(3, 21)
-        n = rng.randrange(1, 7)
-        capacity = rng.randrange(1, 6)
-        qs = [f"q{i}" for i in range(size)]
-        table = random_value_suite(n, qs, rng.randrange(10**9))
-        sim = SimulatedValueSuite(table.value_functions(), capacity)
-        thr = ThresholdValueSuite(table, capacity)
-        taught: list[str] = []
-        for _ in range(rng.randrange(8, 24)):
-            if taught and rng.random() < 0.4:
-                q = rng.choice(taught)  # evaluate: re-offer of a seen fact
-            else:
-                q = rng.choice(qs)
-                taught.append(q)
-            fact = Fact(q, f"a-{q}")
-            sim.offer(fact)
-            thr.offer(fact)
-            assert np.array_equal(sim.knows_many(qs), thr.knows_many(qs))
-            random_checked += 1
+    ok, detail = check_backings_agree(seed=55, rounds=10_000)
     _report(
         "criterion 5 (simulation vs cutoff oracle backings agree)",
-        True,
-        f"{checked} exhaustive states, {random_checked} random stream steps",
+        ok,
+        f"{checked} exhaustive states; {detail}",
     )
+    assert ok, detail
 
 
 FLOOR_CASES = [
@@ -321,32 +294,10 @@ MEMORY_CLASS = {"random-evict": 1, "mwu": 2, "lazy": 2, "value-lazy": 2}
 
 @pytest.mark.parametrize("learner", list(MEMORY_CLASS))
 def test_criterion_6_lower_bound(learner: str) -> None:
+    # Each case must reach the floor depth * (M // 2) + opt with a survivor
+    # at <= opt mistakes, and the learner must report a fact cap of c*M.
     c = MEMORY_CLASS[learner]
-    failures = []
-    for n, capacity, opt in FLOOR_CASES:
-        instance = build_lower_bound_instance(c, n, capacity, opt)
-        adversary = LowerBoundAdversary(instance)
-        config = RunConfig(
-            learner=learner, adversary=adversary, capacity=capacity, seed=13
-        )
-        floor = instance.depth * (capacity // 2) + opt
-        try:
-            ledger, report = run_game(config)
-        except PigeonholeError as err:
-            failures.append(f"N={n} M={capacity} opt={opt}: {err}")
-            continue
-        assert report.params["fact_cap"] == c * capacity, (
-            f"{learner} declares a fact budget of {report.params['fact_cap']}, "
-            f"not c*M = {c * capacity}: MEMORY_CLASS targets the wrong class"
-        )
-        survivors = adversary.surviving_experts()
-        best = min(int(ledger.expert_mistakes[e]) for e in survivors)
-        if ledger.learner_mistakes < floor:
-            failures.append(
-                f"N={n} M={capacity} opt={opt}: L={ledger.learner_mistakes} < {floor}"
-            )
-        if best > opt:
-            failures.append(f"N={n} M={capacity} opt={opt}: survivor made {best} > {opt}")
+    failures = forced_floor_failures(learner, c, FLOOR_CASES, seed=13)
     _report(
         f"criterion 6 (forced-mistake floor at c={c}, learner={learner})",
         not failures,
@@ -355,38 +306,16 @@ def test_criterion_6_lower_bound(learner: str) -> None:
     )
     assert not failures, (
         f"The c={c} construction did not force the floor on {learner}, or the "
-        "learner held more than the c*M facts the instance targets. Failures:\n"
+        "learner's fact budget is not the c*M facts the instance targets. "
+        "Failures:\n"
         + "\n".join(failures)
     )
 
 
 def test_criterion_7_majority_kept_set_cap() -> None:
-    rng = random.Random(77)
-    worst = 0.0
-    for _ in range(10_000):
-        n = rng.randrange(1, 12)
-        capacity = rng.randrange(1, 7)
-        n_facts = rng.randrange(0, 4 * capacity + 10)
-        weights = [rng.randrange(2) for _ in range(n)]
-        if not any(weights):
-            weights[rng.randrange(n)] = 1  # an all-zero weighting has no majority
-        stores = []
-        for _ in range(n):
-            k = min(rng.randrange(0, capacity + 1), n_facts)
-            stores.append(set(rng.sample(range(n_facts), k)))
-        total = sum(weights)
-        kept = sum(
-            1
-            for f in range(n_facts)
-            if 2 * sum(w for w, s in zip(weights, stores) if f in s) >= total
-        )
-        assert kept <= 2 * capacity, (n, capacity, n_facts, kept)
-        worst = max(worst, kept / (2 * capacity))
-    _report(
-        "criterion 7 (weighted-majority kept set <= 2M)",
-        True,
-        f"10000 instances, tightest ratio {worst:.2f}",
-    )
+    ok, detail = check_majority_cap(seed=77, rounds=10_000)
+    _report("criterion 7 (weighted-majority kept set <= 2M)", ok, detail)
+    assert ok, detail
 
 
 def test_criterion_8_value_expert_semantics() -> None:
@@ -402,34 +331,15 @@ def test_criterion_8_value_expert_semantics() -> None:
             for q in order:
                 state = vb_offer(state, Fact(q, "a"))
                 offered.append(q)
-                replay = set(
-                    sorted(offered, key=lambda x: values[x], reverse=True)[:capacity]
-                )
-                assert state.stored_questions() == replay
+                assert state.stored_questions() == top_m_replay(offered, values, capacity)
                 exhaustive_checked += 1
-    # Random: universes up to 20 questions, capacities up to 5, with re-offers.
-    rng = random.Random(88)
-    random_checked = 0
-    for _ in range(2_000):
-        size = rng.randrange(2, 21)
-        capacity = rng.randrange(1, 6)
-        qs = [f"q{i}" for i in range(size)]
-        vf = random_value_suite(1, qs, rng.randrange(10**9)).value_function(0)
-        state = ValueBasedExpertState(vf, capacity)
-        offered: list[str] = []
-        for _ in range(rng.randrange(1, 40)):
-            q = rng.choice(qs)
-            state = vb_offer(state, Fact(q, "a"))
-            if q not in offered:
-                offered.append(q)
-            replay = set(sorted(offered, key=lambda x: vf[x], reverse=True)[:capacity])
-            assert state.stored_questions() == replay
-            random_checked += 1
+    ok, detail = check_top_m_replay(seed=88, rounds=2_000)
     _report(
         "criterion 8 (retention equals top-M-by-value replay)",
-        True,
-        f"{exhaustive_checked} exhaustive prefixes, {random_checked} random steps",
+        ok,
+        f"{exhaustive_checked} exhaustive prefixes; {detail}",
     )
+    assert ok, detail
 
 
 def test_criterion_9_deterministic_outputs(tmp_path) -> None:

@@ -13,6 +13,7 @@ from factgame.adversaries import (
 )
 from factgame.experts import OracleHandle, ValueBasedExpertState, vb_offer
 from factgame.harness import RunConfig, build_adversary, build_learner, build_suite, run_game
+from factgame.invariants import forced_floor_failures
 from factgame.model import dump_stream, validate_sequential
 
 
@@ -144,7 +145,7 @@ class TestLowerBoundAdversary:
     def _drain_teaches(self, adversary, view) -> list:
         events = []
         while True:
-            event = adversary.next_event([], view)
+            event = adversary.next_event(view)
             events.append(event)
             if event is None or event.is_evaluate:
                 return events
@@ -187,58 +188,8 @@ class TestLowerBoundAdversary:
         assert not ledger.violations
 
 
-def _forced_floor(c: int, n: int, capacity: int, opt: int) -> int:
-    depth = 0
-    power = 1
-    while power * 2 * c <= n:
-        power *= 2 * c
-        depth += 1
-    return depth * (capacity // 2) + opt
-
-
-@pytest.mark.parametrize("learner", ["mwu", "lazy", "value-lazy"])
-@pytest.mark.parametrize("n,capacity,opt", [(16, 2, 0), (16, 2, 2), (16, 4, 2)])
-def test_construction_forces_learners_at_their_memory_class(learner, n, capacity, opt) -> None:
-    # These learners hold up to 2M facts, so the matching instance is c=2.
-    from factgame.harness import build_adversary
-
-    config = RunConfig(
-        learner=learner,
-        adversary=f"lowerbound:c=2,N={n},M={capacity},opt={opt}",
-        capacity=capacity,
-        seed=1,
-    )
-    adversary = build_adversary(config)
-    config = RunConfig(learner=learner, adversary=adversary, capacity=capacity, seed=1)
-    ledger, _ = run_game(config)
-    floor = _forced_floor(2, n, capacity, opt)
-    assert ledger.learner_mistakes >= floor
-    survivors = adversary.surviving_experts()
-    assert survivors
-    best = min(int(ledger.expert_mistakes[e]) for e in survivors)
-    assert best <= opt
-
-
 def test_construction_forces_budgeted_learner_at_c1() -> None:
-    from factgame.harness import build_adversary
-
-    for n, capacity, opt in [(4, 2, 0), (8, 2, 2), (8, 4, 2)]:
-        config = RunConfig(
-            learner="random-evict",
-            adversary=f"lowerbound:c=1,N={n},M={capacity},opt={opt}",
-            capacity=capacity,
-            seed=3,
-        )
-        adversary = build_adversary(config)
-        config = RunConfig(
-            learner="random-evict", adversary=adversary, capacity=capacity, seed=3
-        )
-        ledger, _ = run_game(config)
-        assert ledger.learner_mistakes >= _forced_floor(1, n, capacity, opt)
-        best = min(
-            int(ledger.expert_mistakes[e]) for e in adversary.surviving_experts()
-        )
-        assert best <= opt
+    assert forced_floor_failures("random-evict", 1, [(4, 2, 0), (8, 2, 2), (8, 4, 2)], seed=3) == []
 
 
 def test_value_lazy_shares_the_instance_table() -> None:

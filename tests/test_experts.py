@@ -1,7 +1,6 @@
 from __future__ import annotations
 
 import io
-import itertools
 import random
 
 import numpy as np
@@ -22,13 +21,12 @@ from factgame.experts import (
     build_scripted_suite,
     dump_expert_suite,
     load_expert_suite,
-    oracle_query,
     random_value_suite,
-    true_mistake_update,
     vb_offer,
     vb_true_threshold,
 )
 from factgame.harness import RunConfig, build_adversary, build_learner, build_suite
+from factgame.invariants import top_m_replay
 from factgame.model import Fact
 
 
@@ -38,12 +36,6 @@ def fact(q: str) -> Fact:
 
 def vf(**values: int) -> ValueFunction:
     return ValueFunction(values)
-
-
-def top_m_replay(offered: list[str], values: ValueFunction, m: int) -> set[str]:
-    """Independent oracle: keep everything, then take the m highest-valued."""
-    distinct = list(dict.fromkeys(offered))
-    return set(sorted(distinct, key=lambda q: values[q], reverse=True)[:m])
 
 
 class TestValueFunction:
@@ -104,18 +96,6 @@ class TestValueBasedExpert:
         one = vb_offer(ValueBasedExpertState(values, capacity=1), fact("e"))
         assert vb_true_threshold(one) == 4
 
-    def test_replay_equivalence_exhaustive_orders(self) -> None:
-        questions = ["q0", "q1", "q2", "q3", "q4"]
-        values = ValueFunction({q: i * 3 + 1 for i, q in enumerate(questions)})
-        for m in (1, 2, 3):
-            for order in itertools.permutations(questions):
-                state = ValueBasedExpertState(values, capacity=m)
-                offered: list[str] = []
-                for q in order:
-                    state = vb_offer(state, fact(q))
-                    offered.append(q)
-                    assert state.stored_questions() == top_m_replay(offered, values, m)
-
     @given(
         st.integers(1, 5),
         st.integers(2, 20),
@@ -145,31 +125,12 @@ class TestOracleBackings:
         suite = SimulatedValueSuite([vf(q1=2, q2=1)], capacity=1)
         suite.offer(fact("q1"))
         oracle = OracleHandle(suite, ["e0"])
-        assert oracle_query(oracle, "e0", "q1") is True
-        assert oracle_query(oracle, "e0", "q2") is False
+        assert oracle.query("e0", "q1") is True
+        assert oracle.query("e0", "q2") is False
         with pytest.raises(KeyError):
-            oracle_query(oracle, "ghost", "q1")
+            oracle.query("ghost", "q1")
         with pytest.raises(KeyError):
-            oracle_query(oracle, 5, "q1")
-
-    def test_backings_agree_on_random_streams(self) -> None:
-        rng = random.Random(7)
-        for _ in range(40):
-            universe = [f"q{i}" for i in range(rng.randrange(3, 12))]
-            table = random_value_suite(rng.randrange(1, 6), universe, rng.randrange(10**6))
-            capacity = rng.randrange(1, 5)
-            sim = SimulatedValueSuite(table.value_functions(), capacity)
-            thr = ThresholdValueSuite(table, capacity)
-            for _ in range(rng.randrange(1, 40)):
-                q = rng.choice(universe)
-                sim.offer(fact(q))
-                thr.offer(fact(q))
-                for probe in universe:
-                    assert np.array_equal(sim.knows(probe), thr.knows(probe))
-                assert np.array_equal(
-                    sim.knows_many(universe), thr.knows_many(universe)
-                )
-                assert np.array_equal(sim.true_thresholds(), thr.true_thresholds())
+            oracle.query(5, "q1")
 
     def test_unlisted_pair_is_illegal_to_query(self) -> None:
         ragged = SimulatedValueSuite([vf(q1=1, q2=2), vf(q1=4)], capacity=1)
@@ -192,11 +153,11 @@ class TestOracleBackings:
 def test_true_mistake_update_examples() -> None:
     vfs = [vf(q1=2, q2=1), vf(q1=1, q2=2), vf(q1=3, q2=1)]
     suite = SimulatedValueSuite(vfs, capacity=1)
-    assert list(true_mistake_update(suite, "q1")) == [1, 1, 1]
+    assert list(~suite.knows("q1")) == [1, 1, 1]
     suite.offer(fact("q1"))
-    assert list(true_mistake_update(suite, "q1")) == [0, 0, 0]
+    assert list(~suite.knows("q1")) == [0, 0, 0]
     suite.offer(fact("q2"))  # middle expert trades q1 for q2
-    assert list(true_mistake_update(suite, "q1")) == [0, 1, 0]
+    assert list(~suite.knows("q1")) == [0, 1, 0]
 
 
 class TestScriptedPolicies:

@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from factgame import harness
+from factgame import harness, invariants
 from factgame.cli import main
 from factgame.harness import (
     AUX_CAP_FACTOR,
@@ -20,9 +20,10 @@ from factgame.harness import (
     emit_outputs,
     run_game,
     sweep,
-    verify,
 )
-from factgame.model import CSV_HEADER, GameLedger, Stream, evaluate, teach
+from factgame.experts import ThresholdValueSuite, vb_offer
+from factgame.invariants import verify
+from factgame.model import CSV_HEADER, TEACH, GameLedger, Stream, evaluate, teach
 
 
 def small_stream(*events) -> Stream:
@@ -81,29 +82,6 @@ class TestStepOrdering:
         assert list(ledger.expert_mistakes) == [1, 1]  # only the first evaluate
         assert ledger.costs[2] == 1
         assert ledger.costs[3] == 0  # the re-offer restored q1
-
-
-def test_determinism_identical_ledgers(tmp_path) -> None:
-    outputs = []
-    for _ in range(2):
-        config = RunConfig(
-            learner="value-lazy",
-            adversary="random:universe=24,T=3000,teach=0.5,seed=9",
-            experts="values:N=6,universe=24,seed=2",
-            capacity=3,
-            seed=9,
-            csv_path=str(tmp_path / "run.csv"),
-            summary_path=str(tmp_path / "run.txt"),
-        )
-        ledger, report = run_game(config)
-        emit_outputs(ledger, report, config)
-        outputs.append(
-            (
-                (tmp_path / "run.csv").read_bytes(),
-                (tmp_path / "run.txt").read_bytes(),
-            )
-        )
-    assert outputs[0] == outputs[1]
 
 
 def test_opt_identical_across_learners_on_fixed_stream() -> None:
@@ -460,6 +438,63 @@ class TestSweep:
 def test_verify_battery_full() -> None:
     ok, lines = verify(seed=1, quick=True)
     assert ok, "\n".join(lines)
+
+
+def _scan_against_whole_stream(events):
+    taught = {e.question for e in events if e.kind == TEACH}
+    for i, event in enumerate(events):
+        if event.is_evaluate and event.question not in taught:
+            return False, i
+    return True, None
+
+
+_threshold_knows_many = ThresholdValueSuite.knows_many
+_build_learner = harness.build_learner
+
+
+def _knows_many_flipping_expert_0(self, questions):
+    out = _threshold_knows_many(self, questions)
+    out[:, 0] = ~out[:, 0]
+    return out
+
+
+def _build_lazy_declaring_4m(config, *rest):
+    learner = _build_learner(config, *rest)
+    if config.learner == "lazy":
+        learner.fact_budget = 4 * config.capacity
+    return learner
+
+# One fault per shared checker, each planted where only that checker reads it.
+VERIFY_FAULTS = {
+    # teaches later in the stream count as earlier ones
+    "sequential-scan": (invariants, "validate_sequential", _scan_against_whole_stream),
+    # a full memory never admits a higher-valued newcomer
+    "value-expert-replay": (
+        invariants,
+        "vb_offer",
+        lambda state, fact: state if len(state.memory) >= state.capacity else vb_offer(state, fact),
+    ),
+    "oracle-backings": (ThresholdValueSuite, "knows_many", _knows_many_flipping_expert_0),
+    # every fact some expert stores is kept, not only majority-backed ones
+    "majority-memory-cap": (
+        invariants,
+        "majority_kept_count",
+        lambda weights, stores, n_facts: len(set().union(*stores)),
+    ),
+    # lazy declares 4M facts where its memory class is 2M
+    "lower-bound": (harness, "build_learner", _build_lazy_declaring_4m),
+}
+
+
+@pytest.mark.parametrize("entry", list(VERIFY_FAULTS))
+def test_verify_reports_each_injected_fault(monkeypatch, entry) -> None:
+    target, name, fault = VERIFY_FAULTS[entry]
+    monkeypatch.setattr(target, name, fault)
+    ok, lines = verify(seed=0, quick=True)
+    assert not ok
+    assert [line.split(":")[0] for line in lines if not line.startswith("PASS")] == [
+        f"FAIL {entry}"
+    ], "\n".join(lines)
 
 
 def test_value_lazy_warns_on_nonsequential_adversary() -> None:

@@ -16,6 +16,7 @@ from factgame.experts import (
     build_scripted_suite,
     random_value_suite,
 )
+from factgame.invariants import majority_kept_count
 from factgame.learners import (
     FullSimLearner,
     LazyLearner,
@@ -454,13 +455,7 @@ def test_majority_kept_set_is_at_most_twice_capacity(n, capacity, data) -> None:
         else set()
         for _ in range(n)
     ]
-    total = sum(weights)
-    kept = [
-        f
-        for f in range(n_facts)
-        if 2 * sum(w for w, s in zip(weights, stores) if f in s) >= total
-    ]
-    assert len(kept) <= 2 * capacity
+    assert majority_kept_count(weights, stores, n_facts) <= 2 * capacity
 
 
 class TestBaselines:

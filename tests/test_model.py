@@ -5,6 +5,7 @@ import io
 import pytest
 from hypothesis import given, strategies as st
 
+from factgame.invariants import sequential_scan_reference
 from factgame.model import (
     CSV_HEADER,
     EVALUATE,
@@ -65,14 +66,7 @@ event_lists = st.lists(
 
 @given(event_lists)
 def test_validate_sequential_matches_quadratic_scan(events) -> None:
-    expected_ok, expected_idx = True, None
-    for i, event in enumerate(events):
-        if event.is_evaluate and not any(
-            e.kind == TEACH and e.question == event.question for e in events[:i]
-        ):
-            expected_ok, expected_idx = False, i
-            break
-    assert validate_sequential(events) == (expected_ok, expected_idx)
+    assert validate_sequential(events) == sequential_scan_reference(events)
 
 
 def test_phi_from_events_rejects_rebinding() -> None:
