@@ -15,7 +15,6 @@ from .adversaries import (
     random_stream,
 )
 from .experts import (
-    OracleHandle,
     ScriptedSuite,
     SimulatedValueSuite,
     ThresholdValueSuite,
@@ -46,7 +45,6 @@ from .learners import (
     MwuLearner,
     RandomEvictLearner,
     ValueLazyLearner,
-    kth_largest,
 )
 from .model import (
     EVALUATE,
@@ -58,7 +56,6 @@ from .model import (
     dump_stream,
     evaluate,
     load_stream,
-    step_cost,
     teach,
     validate_sequential,
 )

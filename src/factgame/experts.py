@@ -1,4 +1,4 @@
-"""Bounded-memory experts and the membership oracle that learners query.
+"""Bounded-memory experts, and the suite protocol that learners query.
 
 Two families of experts:
 
@@ -16,6 +16,18 @@ Two families of experts:
 * **Scripted** experts follow deterministic stream-order policies (recency,
   first-seen, stride). Policies depend only on the stream, never on expert
   identity, so experts sharing a policy share one state machine.
+
+Every suite answers the same membership questions, and learners ask them of
+the suite directly (the game loop decides when memories advance, so query
+timing is the caller's contract):
+
+* ``knows(q)``: a length-N bool vector, expert e's bit set iff e stores q;
+* ``knows_many(qs)``: the ``len(qs) x N`` stack of those vectors;
+* ``count_active(q, active, token)``: how many experts under the bool mask
+  ``active`` store q; ``token`` names the mask's version, so a suite may
+  cache per-mask aggregates between calls with an equal token;
+* ``offer(fact)``: show one fact to every expert; returns the questions whose
+  membership moved, or None when any membership may have moved.
 
 Expert-suite files list one value per line: ``expert <id> value <qid> <nat>``.
 Querying an (expert, question) pair the file never listed is an error.
@@ -235,14 +247,8 @@ class ScriptedPolicy:
     def offer(self, fact: Fact) -> tuple[QuestionId, ...]:
         raise NotImplementedError
 
-    def knows(self, question: QuestionId) -> bool:
-        return question in self._memory
-
     def memory(self) -> frozenset[Fact]:
         return frozenset(self._memory.values())
-
-    def size(self) -> int:
-        return len(self._memory)
 
 
 class KeepLastPolicy(ScriptedPolicy):
@@ -348,13 +354,8 @@ class SimulatedValueSuite:
         rows = [[self.knows_one(i, q) for i in range(self.n)] for q in questions]
         return np.asarray(rows, dtype=bool).reshape(len(questions), self.n)
 
-    def count_active(self, question: QuestionId, active, token: object = None) -> int:
-        return sum(
-            1 for i in range(self.n) if active[i] and self.knows_one(i, question)
-        )
-
-    def memories(self) -> list[frozenset[Fact]]:
-        return [state.memory for state in self.states]
+    def count_active(self, question: QuestionId, active: np.ndarray, token: object = None) -> int:
+        return int((self.knows(question) & active).sum())
 
     def union_memory(self) -> set[Fact]:
         out: set[Fact] = set()
@@ -387,8 +388,6 @@ class ThresholdValueSuite:
         self._seen = np.zeros(self.values.shape[1], dtype=bool)
         self._top = np.zeros((table.n, capacity), dtype=np.int64)
         self._answers: dict[int, Answer] = {}
-        self._active_mask: np.ndarray | None = None  # cached per active-set version
-        self._active_token: object = object()
 
     @property
     def n(self) -> int:
@@ -428,28 +427,14 @@ class ThresholdValueSuite:
         member = self.values[:, cols] >= self._top[:, :1]
         return member.T & self._seen[cols][:, None]
 
-    def count_active(self, question: QuestionId, active, token: object = None) -> int:
+    def count_active(self, question: QuestionId, active: np.ndarray, token: object = None) -> int:
         col = self._column(question)
         if not self._seen[col]:
             return 0
-        if token is None or token != self._active_token:
-            self._active_mask = np.asarray(active, dtype=bool)
-            self._active_token = token
-        return int(((self.values[:, col] >= self._top[:, 0]) & self._active_mask).sum())
+        return int(((self.values[:, col] >= self._top[:, 0]) & active).sum())
 
     def true_thresholds(self) -> np.ndarray:
         return self._top[:, 0].copy()
-
-    def memories(self) -> list[frozenset[Fact]]:
-        seen_cols = np.flatnonzero(self._seen)
-        out = []
-        for e in range(self.n):
-            cutoff = self._top[e, 0]
-            kept = seen_cols[self.values[e, seen_cols] >= cutoff]
-            out.append(
-                frozenset(Fact(self.table.universe[c], self._answers[c]) for c in kept)
-            )
-        return out
 
     def union_memory(self) -> set[Fact]:
         seen_cols = np.flatnonzero(self._seen)
@@ -474,7 +459,6 @@ class ScriptedSuite:
                 raise ValueError(f"policy index {p} out of range")
         self.policies = list(policies)
         self.expert_policy = np.asarray(expert_policy, dtype=np.int64)
-        self._expert_policy_list = list(expert_policy)
         self.capacity = max(p.capacity for p in policies)
         self._mult: list[int] | None = None  # active experts per policy
         self._mult_token: object = object()
@@ -512,23 +496,17 @@ class ScriptedSuite:
         ).reshape(len(questions), n_pol)
         return bits[:, self.expert_policy]
 
-    def count_active(self, question: QuestionId, active, token: object = None) -> int:
+    def count_active(self, question: QuestionId, active: np.ndarray, token: object = None) -> int:
         if token is None or token != self._mult_token:
-            mult = [0] * len(self.policies)
-            for e, p in enumerate(self._expert_policy_list):
-                if active[e]:
-                    mult[p] += 1
-            self._mult = mult
+            self._mult = np.bincount(
+                self.expert_policy[active], minlength=len(self.policies)
+            ).tolist()
             self._mult_token = token
         total = 0
         for i, policy in enumerate(self.policies):
             if question in policy._memory:
                 total += self._mult[i]
         return total
-
-    def memories(self) -> list[frozenset[Fact]]:
-        per_policy = [p.memory() for p in self.policies]
-        return [per_policy[p] for p in self.expert_policy]
 
     def union_memory(self) -> set[Fact]:
         out: set[Fact] = set()
@@ -538,54 +516,6 @@ class ScriptedSuite:
 
 
 ExpertSuite = SimulatedValueSuite | ThresholdValueSuite | ScriptedSuite
-
-
-class OracleHandle:
-    """Membership queries against a live expert suite.
-
-    Answers reflect the suite's current memories; the game loop controls when
-    those memories advance, so query timing is the caller's contract.
-    """
-
-    def __init__(self, suite: ExpertSuite, expert_ids: Sequence[str] | None = None):
-        self.suite = suite
-        self.backing = suite.backing
-        ids = list(expert_ids) if expert_ids is not None else [str(i) for i in range(suite.n)]
-        if len(ids) != suite.n:
-            raise ValueError("expert id list does not match suite size")
-        self._index = {eid: i for i, eid in enumerate(ids)}
-        self.expert_ids = ids
-
-    @property
-    def n(self) -> int:
-        return self.suite.n
-
-    def query(self, expert: str | int, question: QuestionId) -> bool:
-        if isinstance(expert, int):
-            if not 0 <= expert < self.suite.n:
-                raise KeyError(f"unknown expert index {expert}")
-            idx = expert
-        else:
-            try:
-                idx = self._index[expert]
-            except KeyError:
-                raise KeyError(f"unknown expert id {expert!r}") from None
-        single = getattr(self.suite, "knows_one", None)
-        if single is not None:
-            return bool(single(idx, question))
-        return bool(self.suite.knows(question)[idx])
-
-    def knows(self, question: QuestionId) -> np.ndarray:
-        return self.suite.knows(question)
-
-    def knows_many(self, questions: Sequence[QuestionId]) -> np.ndarray:
-        return self.suite.knows_many(questions)
-
-    def count_active(self, question: QuestionId, active, token: object = None) -> int:
-        """How many experts under the ``active`` mask (array or list of
-        bools) store the fact for ``question``. ``token`` identifies the
-        mask's version so suites can cache per-mask aggregates."""
-        return self.suite.count_active(question, active, token)
 
 
 def random_value_suite(

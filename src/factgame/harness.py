@@ -130,18 +130,15 @@ def check_bounds(
     n_experts: int,
     capacity: int,
     learner: str,
-    fact_cap: int | None = None,
-    question_cap: int | None = None,
+    fact_cap: int,
+    question_cap: int,
 ) -> BoundReport:
     """Evaluate every bound at every prefix of the ledger.
 
-    Memory caps are exact; the mistake allowance is checked in its safe form
-    and additionally reported in the literal base-2 form.
+    Memory caps are exact and come from the learner's declared budgets; the
+    mistake allowance is checked in its safe form and additionally reported
+    in the literal base-2 form.
     """
-    if fact_cap is None:
-        fact_cap = n_experts * capacity if learner == "full-sim" else 2 * capacity
-    if question_cap is None:
-        question_cap = 2 * capacity if learner == "value-lazy" else 0
     report = BoundReport(
         params={
             "learner": learner,
@@ -360,15 +357,14 @@ def build_suite(config: RunConfig, adversary: adv.Adversary):
 def build_learner(
     config: RunConfig,
     suite,
-    oracle: exp.OracleHandle,
     table: exp.ValueTable | None,
     adversary: adv.Adversary,
 ) -> lrn.Learner:
     name = config.learner
     if name == "mwu":
-        return lrn.MwuLearner(oracle, config.capacity, gamma=config.gamma)
+        return lrn.MwuLearner(suite, config.capacity, gamma=config.gamma)
     if name == "lazy":
-        return lrn.LazyLearner(oracle, config.capacity)
+        return lrn.LazyLearner(suite, config.capacity)
     if name == "value-lazy":
         if table is None:
             raise ConfigError(
@@ -394,9 +390,9 @@ def run_game(config: RunConfig) -> tuple[GameLedger, BoundReport]:
     more facts or parked questions than its declared class.
     """
     adversary = build_adversary(config)
-    suite, expert_ids, table = build_suite(config, adversary)
-    oracle = exp.OracleHandle(suite, expert_ids)
-    learner = build_learner(config, suite, oracle, table, adversary)
+    # The expert ids stay in build_suite's result for perfbench/tracing.py.
+    suite, _, table = build_suite(config, adversary)
+    learner = build_learner(config, suite, table, adversary)
     if config.learner == "value-lazy" and not adversary.sequential:
         warnings.warn(
             "value-lazy guarantees assume evaluates only hit previously "

@@ -19,11 +19,21 @@ import numpy as np
 
 from . import adversaries as adv
 from . import experts as exp
-from .experts import ValueFunction, vb_offer, vb_true_threshold
+from .experts import SENTINEL_VALUE, ValueFunction, vb_offer, vb_true_threshold
 from .harness import RunConfig, run_game
 from .model import EVALUATE, TEACH, Event, Fact, QuestionId, validate_sequential
 
 # --- references ---------------------------------------------------------------
+
+
+def kth_largest(values: Iterable[int], k: int) -> int:
+    """The k-th largest element, or the sentinel 0 when fewer than k are
+    present (so an under-full cutoff never excludes anything): the retention
+    cutoff of a value-based expert over the values it has seen."""
+    ordered = sorted(values)
+    if len(ordered) < k:
+        return SENTINEL_VALUE
+    return ordered[-k]
 
 
 def top_m_replay(offered: Iterable[QuestionId], values: ValueFunction, m: int) -> set[QuestionId]:

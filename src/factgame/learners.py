@@ -3,7 +3,7 @@
 Every learner advances in two phases per step, mirroring the game loop:
 
 * ``observe_evaluation`` runs when a question is posed, before the experts
-  update their memories, so oracle queries here see the memories the costs
+  update their memories, so suite queries here see the memories the costs
   were charged against;
 * ``update_memory`` runs after the experts have updated, inserts the step's
   fact, and prunes stored facts the (weighted) expert majority no longer
@@ -12,28 +12,19 @@ Every learner advances in two phases per step, mirroring the game loop:
 Four algorithms plus a strawman: multiplicative weights over exact error
 counts, the lazy scheme that keeps 0/1 weights and deactivates experts in
 bulk, its value-threshold variant that estimates expert memories from value
-functions instead of querying an oracle, the store-everything union baseline,
+functions instead of querying the suite, the store-everything union baseline,
 and a random-eviction strawman for lower-bound experiments.
 """
 
 from __future__ import annotations
 
 import random
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from .experts import ExpertSuite, OracleHandle, SENTINEL_VALUE, ValueTable
+from .experts import ExpertSuite, SENTINEL_VALUE, ValueTable
 from .model import Answer, QuestionId
-
-
-def kth_largest(values: Iterable[int], k: int) -> int:
-    """The k-th largest element, or the sentinel 0 when fewer than k are
-    present (so an under-full cutoff never excludes anything)."""
-    ordered = sorted(values)
-    if len(ordered) < k:
-        return SENTINEL_VALUE
-    return ordered[-k]
 
 
 def _kth_largest_rows(sub: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
@@ -68,10 +59,6 @@ class Learner:
         self.active_count = n_experts
 
     @property
-    def fact_memory_size(self) -> int:
-        return len(self.memory)
-
-    @property
     def question_memory_size(self) -> int:
         return 0
 
@@ -98,11 +85,11 @@ class MwuLearner(Learner):
 
     name = "mwu"
 
-    def __init__(self, oracle: OracleHandle, capacity: int, gamma: float = 0.5):
-        super().__init__(oracle.n, capacity)
+    def __init__(self, suite: ExpertSuite, capacity: int, gamma: float = 0.5):
+        super().__init__(suite.n, capacity)
         if not 0.0 < gamma < 1.0:
             raise ValueError("gamma must lie in (0, 1)")
-        self.oracle = oracle
+        self.suite = suite
         self.gamma = gamma
         self.errors = np.zeros(self.n, dtype=np.int64)
         self.aux_state_count = 2 * self.n + 1  # error counts, derived weights, gamma
@@ -114,7 +101,7 @@ class MwuLearner(Learner):
 
     def observe_evaluation(self, question: QuestionId, know: np.ndarray | None = None) -> None:
         if know is None:
-            know = self.oracle.knows(question)
+            know = self.suite.knows(question)
         self.errors += ~know
 
     def update_memory(
@@ -128,7 +115,7 @@ class MwuLearner(Learner):
         if not self.memory:
             return
         questions = list(self.memory)
-        know = self.oracle.knows_many(questions)
+        know = self.suite.knows_many(questions)
         w = self.weights()
         saved = know @ w
         keep = saved >= 0.5 * w.sum()  # exactly half the weight persists the fact
@@ -138,12 +125,14 @@ class MwuLearner(Learner):
                     del self.memory[q]
 
 
-class _ActiveSetMixin:
-    """Shared 0/1-weight bookkeeping: deactivate experts in bulk once enough
-    of the active ones have accumulated ``capacity`` errors; when nobody is
-    left, clear all error counts and reactivate everyone."""
+class _ActiveSetLearner(Learner):
+    """Shared 0/1-weight bookkeeping of the lazy learners: deactivate experts
+    in bulk once enough of the active ones have accumulated ``capacity``
+    errors; when nobody is left, clear all error counts and reactivate
+    everyone. ``active`` is one bool array, changed only in place."""
 
-    def _init_active(self) -> None:
+    def __init__(self, n_experts: int, capacity: int):
+        super().__init__(n_experts, capacity)
         self.errors = np.zeros(self.n, dtype=np.int64)
         self.active = np.ones(self.n, dtype=bool)
         self.n_active = self.n
@@ -151,7 +140,7 @@ class _ActiveSetMixin:
 
     def _drop_bad_experts(self) -> None:
         bad = self.active & (self.errors >= self.M)
-        nbad = int(bad.sum())
+        nbad = np.count_nonzero(bad)
         if nbad and self.n_active <= 3 * nbad:  # equality triggers the removal
             self.active &= ~bad
             self.generation += 1
@@ -162,59 +151,31 @@ class _ActiveSetMixin:
             self.active_count = self.n_active
 
 
-class LazyLearner(Learner):
-    """Lazy 0/1-weight scheme over the membership oracle.
+class LazyLearner(_ActiveSetLearner):
+    """Lazy 0/1-weight scheme over the suite's membership answers.
 
     Error counts range over every expert, active or not; only active experts
     are candidates for deactivation, and only active experts vote on which
-    stored facts survive. Per-expert state lives in plain lists: the per-step
-    work is a couple of membership lookups, which python loops handle faster
-    than kernel launches across the whole panel-size range.
+    stored facts survive. Saver counts per stored fact are cached and
+    recounted only for facts whose membership moved, or for all of them
+    after an active-set change.
     """
 
     name = "lazy"
 
-    def __init__(self, oracle: OracleHandle, capacity: int):
-        super().__init__(oracle.n, capacity)
-        self.oracle = oracle
-        self.errors: list[int] = [0] * self.n
-        self.active: list[bool] = [True] * self.n
-        self.n_active = self.n
-        self._bad: list[int] = []  # active experts at or past the error cap
+    def __init__(self, suite: ExpertSuite, capacity: int):
+        super().__init__(suite.n, capacity)
+        self.suite = suite
         self._counts: dict[QuestionId, int] = {}  # savers among active, per stored fact
         self._counts_generation = self.generation
-        self._count_fn = oracle.count_active
+        self._count_fn = suite.count_active
         self.aux_state_count = 2 * self.n  # error counts and active flags
 
     def observe_evaluation(self, question: QuestionId, know: np.ndarray | None = None) -> None:
         if know is None:
-            know = self.oracle.knows(question)
-        failing = np.flatnonzero(~know)
-        if not failing.size:
-            return  # deactivations can only follow new failures
-        errors = self.errors
-        active = self.active
-        capacity = self.M
-        bad = self._bad
-        for e in failing.tolist():
-            errors[e] += 1
-            if errors[e] == capacity and active[e]:
-                bad.append(e)  # recorded once, at the crossing
-        nbad = len(bad)
-        if nbad and self.n_active <= 3 * nbad:  # equality triggers the removal
-            for e in bad:  # deactivations happen only here, so all still active
-                active[e] = False
-            self.generation += 1
-            self.n_active -= nbad
-            if self.n_active == 0:  # hard reset reactivates everyone
-                self.errors = [0] * self.n
-                self.active = [True] * self.n
-                self.n_active = self.n
-            self.active_count = self.n_active
-            self._bad = []  # every listed expert was removed or reset
-
-    def _count(self, question: QuestionId) -> int:
-        return self._count_fn(question, self.active, self.generation)
+            know = self.suite.knows(question)
+        self.errors += ~know
+        self._drop_bad_experts()
 
     def update_memory(
         self,
@@ -264,7 +225,7 @@ class LazyLearner(Learner):
             del counts[q]
 
 
-class ValueLazyLearner(_ActiveSetMixin, Learner):
+class ValueLazyLearner(_ActiveSetLearner):
     """Lazy scheme for value-based experts, with no oracle.
 
     Expert memberships are estimated as ``value(e, q) >= cutoff(e)`` where
@@ -284,7 +245,6 @@ class ValueLazyLearner(_ActiveSetMixin, Learner):
         self.values = table.values  # shared by reference, never copied
         self._column = table.column
         self._rows = np.arange(self.n)
-        self._init_active()
         self.t_col = np.full(self.n, -1, dtype=np.int64)
         self.tpre_col = np.full(self.n, -1, dtype=np.int64)
         self.minor: dict[int, QuestionId] = {}

@@ -62,11 +62,6 @@ class Event:
     def is_evaluate(self) -> bool:
         return self.kind == EVALUATE
 
-    def fact(self) -> Fact | None:
-        if self.answer is None:
-            return None
-        return Fact(self.question, self.answer)
-
 
 def teach(question: QuestionId, answer: Answer) -> Event:
     return Event(TEACH, question, answer)
@@ -94,14 +89,6 @@ class Stream:
         return len(self.events)
 
 
-def step_cost(memory: Iterable[Fact], question: QuestionId) -> int:
-    """Unit cost test: 1 iff no stored fact answers ``question``."""
-    for fact in memory:
-        if fact.question == question:
-            return 0
-    return 1
-
-
 def validate_sequential(stream: Stream | Sequence[Event]) -> tuple[bool, int | None]:
     """Single scan: every evaluate must be preceded by a teach of the same
     question. Returns (ok, first violating index or None)."""
@@ -114,27 +101,6 @@ def validate_sequential(stream: Stream | Sequence[Event]) -> tuple[bool, int | N
         else:
             taught.add(event.question)
     return True, None
-
-
-def phi_from_events(events: Iterable[Event]) -> dict[QuestionId, Answer]:
-    """Recover the question->answer map from the answers a stream reveals.
-
-    Raises ValueError if two events bind the same question to different
-    answers (the ground-truth map must be a function).
-    """
-    phi: dict[QuestionId, Answer] = {}
-    for i, event in enumerate(events):
-        if event.answer is None:
-            continue
-        known = phi.get(event.question)
-        if known is None:
-            phi[event.question] = event.answer
-        elif known != event.answer:
-            raise ValueError(
-                f"event {i} rebinds question {event.question!r}: "
-                f"{known!r} vs {event.answer!r}"
-            )
-    return phi
 
 
 class GameLedger:

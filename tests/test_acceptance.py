@@ -28,9 +28,9 @@ from factgame.invariants import (
     check_majority_cap,
     check_top_m_replay,
     forced_floor_failures,
+    kth_largest,
     top_m_replay,
 )
-from factgame.learners import kth_largest
 from factgame.model import Fact
 
 GRID_N = (2, 8, 64)

@@ -11,7 +11,7 @@ from factgame.adversaries import (
     build_lower_bound_instance,
     random_stream,
 )
-from factgame.experts import OracleHandle, ValueBasedExpertState, vb_offer
+from factgame.experts import ValueBasedExpertState, vb_offer
 from factgame.harness import RunConfig, build_adversary, build_learner, build_suite, run_game
 from factgame.invariants import forced_floor_failures
 from factgame.model import dump_stream, validate_sequential
@@ -200,7 +200,7 @@ def test_value_lazy_shares_the_instance_table() -> None:
         oracle_backing="threshold",
     )
     adversary = build_adversary(config)
-    suite, ids, table = build_suite(config, adversary)
-    learner = build_learner(config, suite, OracleHandle(suite, ids), table, adversary)
+    suite, _, table = build_suite(config, adversary)
+    learner = build_learner(config, suite, table, adversary)
     assert table is adversary.instance.table
     assert np.shares_memory(learner.values, suite.values)

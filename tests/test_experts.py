@@ -10,7 +10,6 @@ from hypothesis import given, strategies as st
 from factgame.experts import (
     KeepFirstPolicy,
     KeepLastPolicy,
-    OracleHandle,
     SCRIPTED_SUITES,
     SimulatedValueSuite,
     StridePolicy,
@@ -124,21 +123,15 @@ class TestOracleBackings:
     def test_membership_examples(self) -> None:
         suite = SimulatedValueSuite([vf(q1=2, q2=1)], capacity=1)
         suite.offer(fact("q1"))
-        oracle = OracleHandle(suite, ["e0"])
-        assert oracle.query("e0", "q1") is True
-        assert oracle.query("e0", "q2") is False
-        with pytest.raises(KeyError):
-            oracle.query("ghost", "q1")
-        with pytest.raises(KeyError):
-            oracle.query(5, "q1")
+        assert suite.knows("q1")[0]
+        assert not suite.knows("q2")[0]
 
     def test_unlisted_pair_is_illegal_to_query(self) -> None:
         ragged = SimulatedValueSuite([vf(q1=1, q2=2), vf(q1=4)], capacity=1)
         ragged.offer(fact("q1"))
-        oracle = OracleHandle(ragged)
-        assert oracle.query(0, "q1") is True
+        assert ragged.knows_one(0, "q1") is True
         with pytest.raises(KeyError):
-            oracle.query(1, "q2")
+            ragged.knows_one(1, "q2")
         thr = ThresholdValueSuite(ValueTable.from_mappings([{"q1": 1, "q2": 2}]), capacity=1)
         with pytest.raises(KeyError):
             thr.knows("q9")
@@ -171,7 +164,7 @@ class TestScriptedPolicies:
             last_shown[q] = t
             expected = set(sorted(last_shown, key=last_shown.__getitem__)[-3:])
             assert {f.question for f in policy.memory()} == expected
-            assert policy.size() <= 3
+            assert len(policy.memory()) <= 3
 
     def test_keep_first_never_evicts(self) -> None:
         policy = KeepFirstPolicy(capacity=2)
@@ -192,7 +185,7 @@ class TestScriptedPolicies:
         suite = build_scripted_suite(name, n_experts=6, capacity=3)
         for _ in range(300):
             suite.offer(fact(f"q{rng.randrange(12)}"))
-            assert all(len(mem) <= 3 for mem in suite.memories())
+            assert all(len(p.memory()) <= 3 for p in suite.policies)
 
     def test_suite_delta_reports_every_membership_change(self) -> None:
         rng = random.Random(5)
@@ -310,7 +303,7 @@ def test_value_lazy_shares_the_suites_table() -> None:
         oracle_backing="threshold",
     )
     adversary = build_adversary(config)
-    suite, ids, table = build_suite(config, adversary)
-    learner = build_learner(config, suite, OracleHandle(suite, ids), table, adversary)
+    suite, _, table = build_suite(config, adversary)
+    learner = build_learner(config, suite, table, adversary)
     assert suite.table is table
     assert np.shares_memory(learner.values, suite.values)

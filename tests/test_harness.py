@@ -129,7 +129,14 @@ class TestCheckBounds:
                 aux_state=4,
                 active_experts=2,
             )
-        report = check_bounds(ledger, n_experts=2, capacity=capacity, learner="lazy")
+        report = check_bounds(
+            ledger,
+            n_experts=2,
+            capacity=capacity,
+            learner="lazy",
+            fact_cap=2 * capacity,
+            question_cap=0,
+        )
         check = report.check("fact_memory")
         assert not check.passed
         assert check.first_violation == 7  # 1-based step index
@@ -338,6 +345,19 @@ def test_expert_suite_file_run(tmp_path) -> None:
     ledger, report = run_game(config)
     assert len(ledger) == 4
     assert report.passed
+
+
+def test_stream_file_rebinding_a_question_is_a_config_error(tmp_path, capsys) -> None:
+    stream_path = tmp_path / "stream.txt"
+    stream_path.write_text("T q1 a1\nT q1 b\n")
+    options = dict(learner="lazy", adversary=f"file:{stream_path}", experts="scripted:recency,N=2")
+    with pytest.raises(ConfigError, match="rebinds question 'q1'"):
+        run_game(RunConfig(capacity=2, **options))
+    argv = ["run", "--M", "2"]
+    for key, value in options.items():
+        argv += [f"--{key}", value]
+    assert main(argv) == 2
+    assert "rebinds question" in capsys.readouterr().err
 
 
 class TestCli:

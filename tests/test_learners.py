@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import io
 import random
 
 import numpy as np
@@ -8,7 +9,6 @@ from hypothesis import given, settings, strategies as st
 
 from factgame.adversaries import random_stream
 from factgame.experts import (
-    OracleHandle,
     SimulatedValueSuite,
     ThresholdValueSuite,
     ValueFunction,
@@ -16,20 +16,21 @@ from factgame.experts import (
     build_scripted_suite,
     random_value_suite,
 )
-from factgame.invariants import majority_kept_count
+from factgame.harness import LEARNER_NAMES, RunConfig, format_summary, run_game
+from factgame.invariants import kth_largest, majority_kept_count
 from factgame.learners import (
     FullSimLearner,
     LazyLearner,
     MwuLearner,
     RandomEvictLearner,
     ValueLazyLearner,
-    kth_largest,
 )
 from factgame.model import Fact
 
 
-class StubOracle:
-    """Hand-set membership table for unit-driving learners."""
+class StubSuite:
+    """Hand-set membership table for unit-driving learners: the suite
+    protocol's membership queries, with no memories behind them."""
 
     def __init__(self, n: int):
         self.n = n
@@ -67,26 +68,26 @@ def test_kth_largest_sentinel_and_order() -> None:
 
 class TestMwu:
     def test_weight_formula(self) -> None:
-        oracle = StubOracle(2)
-        learner = MwuLearner(oracle, capacity=2, gamma=0.5)
-        oracle.set("q", [False, True])
+        suite = StubSuite(2)
+        learner = MwuLearner(suite, capacity=2, gamma=0.5)
+        suite.set("q", [False, True])
         learner.observe_evaluation("q")
         assert list(learner.errors) == [1, 0]
         w = (1.0 - learner.gamma) ** learner.errors
         assert list(w) == [0.5, 1.0]
 
     def test_half_weight_boundary_keeps_the_fact(self) -> None:
-        oracle = StubOracle(2)
-        learner = MwuLearner(oracle, capacity=1, gamma=0.5)
-        oracle.set("q", [True, False])  # exactly half of the (equal) weight
+        suite = StubSuite(2)
+        learner = MwuLearner(suite, capacity=1, gamma=0.5)
+        suite.set("q", [True, False])  # exactly half of the (equal) weight
         learner.update_memory("q", "a")
         assert "q" in learner.memory
 
     def test_unanimous_backing_removes_nothing(self) -> None:
-        oracle = StubOracle(3)
-        learner = MwuLearner(oracle, capacity=2)
+        suite = StubSuite(3)
+        learner = MwuLearner(suite, capacity=2)
         for q in ("q1", "q2"):
-            oracle.set(q, [True, True, True])
+            suite.set(q, [True, True, True])
             learner.update_memory(q, "a")
         assert set(learner.memory) == {"q1", "q2"}
 
@@ -97,7 +98,7 @@ class TestMwu:
             suite = ThresholdValueSuite(
                 random_value_suite(5, [f"q{i}" for i in range(24)], trial), capacity
             )
-            learner = MwuLearner(OracleHandle(suite), capacity)
+            learner = MwuLearner(suite, capacity)
             for event in random_stream(24, 3000, 0.5, trial):
                 if event.is_evaluate:
                     learner.observe_evaluation(event.question)
@@ -107,51 +108,69 @@ class TestMwu:
 
     def test_rejects_bad_gamma(self) -> None:
         with pytest.raises(ValueError):
-            MwuLearner(StubOracle(1), capacity=1, gamma=1.0)
+            MwuLearner(StubSuite(1), capacity=1, gamma=1.0)
 
 
 class TestLazy:
     def test_bulk_removal_boundary_triggers_at_equality(self) -> None:
-        oracle = StubOracle(3)
-        learner = LazyLearner(oracle, capacity=1)
-        oracle.set("q", [True, True, False])  # expert 2 keeps failing
+        suite = StubSuite(3)
+        learner = LazyLearner(suite, capacity=1)
+        suite.set("q", [True, True, False])  # expert 2 keeps failing
         learner.observe_evaluation("q")
         # 3 active <= 3 * 1 bad: the removal fires on the boundary
         assert list(learner.active) == [True, True, False]
         assert learner.n_active == 2
 
     def test_no_removal_above_the_boundary(self) -> None:
-        oracle = StubOracle(4)
-        learner = LazyLearner(oracle, capacity=1)
-        oracle.set("q", [True, True, True, False])
+        suite = StubSuite(4)
+        learner = LazyLearner(suite, capacity=1)
+        suite.set("q", [True, True, True, False])
         learner.observe_evaluation("q")
         assert learner.n_active == 4  # 4 > 3 * 1
 
+    # value-lazy shares the deactivation rule: pin the same boundary there,
+    # driving it with hand-set error counts and a parked (unstored) question.
+    def test_value_lazy_bulk_removal_boundary_triggers_at_equality(self) -> None:
+        learner = make_value_lazy([{"z": 1}] * 3, capacity=1)
+        learner.errors[:] = [learner.M, 0, 0]
+        learner.observe_evaluation("z")
+        # 3 active <= 3 * 1 bad: the removal fires on the boundary
+        assert list(learner.active) == [False, True, True]
+        assert learner.n_active == 2
+        assert learner.generation == 1
+
+    def test_value_lazy_no_removal_above_the_boundary(self) -> None:
+        learner = make_value_lazy([{"z": 1}] * 4, capacity=1)
+        learner.errors[:] = [learner.M, 0, 0, 0]
+        learner.observe_evaluation("z")
+        assert learner.n_active == 4  # 4 > 3 * 1
+        assert learner.generation == 0
+
     def test_hard_reset_reactivates_everyone(self) -> None:
-        oracle = StubOracle(2)
-        learner = LazyLearner(oracle, capacity=1)
-        oracle.set("q", [False, False])
+        suite = StubSuite(2)
+        learner = LazyLearner(suite, capacity=1)
+        suite.set("q", [False, False])
         learner.observe_evaluation("q")
         assert learner.n_active == 2
         assert list(learner.errors) == [0, 0]
         assert list(learner.active) == [True, True]
 
     def test_error_counts_cover_inactive_experts(self) -> None:
-        oracle = StubOracle(3)
-        learner = LazyLearner(oracle, capacity=2)
+        suite = StubSuite(3)
+        learner = LazyLearner(suite, capacity=2)
         learner.active[2] = False
         learner.n_active = 2
-        oracle.set("q", [True, True, False])
+        suite.set("q", [True, True, False])
         learner.observe_evaluation("q")
         assert list(learner.errors) == [0, 0, 1]
 
     def test_memory_tie_keeps_fact(self) -> None:
-        oracle = StubOracle(2)
-        learner = LazyLearner(oracle, capacity=1)
-        oracle.set("q", [True, False])  # one saver out of two active: a tie
+        suite = StubSuite(2)
+        learner = LazyLearner(suite, capacity=1)
+        suite.set("q", [True, False])  # one saver out of two active: a tie
         learner.update_memory("q", "a")
         assert "q" in learner.memory
-        oracle.set("q", [False, False])
+        suite.set("q", [False, False])
         learner.update_memory("q2", None, changed=["q"])
         assert "q" not in learner.memory
 
@@ -159,14 +178,14 @@ class TestLazy:
 class NaiveLazy:
     """Direct restatement of the lazy update rules, no caching."""
 
-    def __init__(self, oracle, capacity: int):
-        self.oracle, self.M, self.n = oracle, capacity, oracle.n
+    def __init__(self, suite, capacity: int):
+        self.suite, self.M, self.n = suite, capacity, suite.n
         self.errors = [0] * self.n
         self.active = [True] * self.n
         self.memory: dict = {}
 
     def observe(self, question) -> None:
-        know = self.oracle.knows(question)
+        know = self.suite.knows(question)
         for e in range(self.n):
             if not know[e]:
                 self.errors[e] += 1
@@ -183,7 +202,7 @@ class NaiveLazy:
             self.memory[question] = answer
         n_active = sum(self.active)
         for q in list(self.memory):
-            know = self.oracle.knows(q)
+            know = self.suite.knows(q)
             savers = sum(1 for e in range(self.n) if self.active[e] and know[e])
             if 2 * savers < n_active:
                 del self.memory[q]
@@ -204,8 +223,8 @@ def test_lazy_matches_naive_reference_on_random_streams() -> None:
         else:
             fast_suite = build_scripted_suite(kind, n, capacity)
             slow_suite = build_scripted_suite(kind, n, capacity)
-        fast = LazyLearner(OracleHandle(fast_suite), capacity)
-        slow = NaiveLazy(OracleHandle(slow_suite), capacity)
+        fast = LazyLearner(fast_suite, capacity)
+        slow = NaiveLazy(slow_suite, capacity)
         for event in stream:
             if event.is_evaluate:
                 fast.observe_evaluation(event.question)
@@ -413,7 +432,6 @@ class TestValueLazyPhases:
         learner.update_memory("b", "ans", None)
         cuts = list(learner.threshold_values())
         learner.errors[:] = learner.M  # both experts at the removal threshold
-        learner.generation_before = learner.generation
         learner.observe_evaluation("z")
         assert list(learner.active) == [True, True]  # reset reactivated everyone
         assert list(learner.errors) == [0, 0]
@@ -505,25 +523,33 @@ class TestBaselines:
         assert runs[0] == runs[1]
 
 
-def test_lazy_identical_traces_under_both_oracle_backings() -> None:
-    # Dual route: the explicit simulation and the cutoff representation must
-    # drive the learner identically, step for step.
-    for trial in range(6):
-        universe = [f"q{i}" for i in range(20)]
-        table = random_value_suite(5, universe, trial)
-        stream = random_stream(20, 800, 0.5, trial + 50)
-        traces = []
-        for suite in (
-            SimulatedValueSuite(table.value_functions(), 2),
-            ThresholdValueSuite(table, 2),
-        ):
-            learner = LazyLearner(OracleHandle(suite), 2)
-            trace = []
-            for event in stream:
-                if event.is_evaluate:
-                    learner.observe_evaluation(event.question)
-                changed = suite.offer(Fact(event.question, event.answer))
-                learner.update_memory(event.question, event.answer, changed)
-                trace.append((sorted(map(str, learner.memory)), learner.n_active))
-            traces.append(trace)
-        assert traces[0] == traces[1]
+@given(
+    n=st.integers(1, 6),
+    capacity=st.integers(1, 4),
+    universe=st.integers(2, 16),
+    length=st.integers(0, 150),
+    seed=st.integers(0, 10**6),
+)
+@settings(max_examples=25, deadline=None)
+def test_every_learner_plays_identical_games_under_both_backings(
+    n, capacity, universe, length, seed
+) -> None:
+    # The explicit simulation and the cutoff representation must drive every
+    # learner to the same ledger and summary bytes.
+    for learner in LEARNER_NAMES:
+        outputs = []
+        for backing in ("simulation", "threshold"):
+            config = RunConfig(
+                learner=learner,
+                adversary=f"random:universe={universe},T={length},seed={seed}",
+                experts=f"values:N={n},universe={universe}",
+                capacity=capacity,
+                seed=seed,
+                oracle_backing=backing,
+                verify_soundness=True,
+            )
+            ledger, report = run_game(config)
+            buf = io.StringIO()
+            ledger.to_csv(buf)
+            outputs.append(buf.getvalue() + format_summary(ledger, report))
+        assert outputs[0] == outputs[1], learner

@@ -17,23 +17,9 @@ from factgame.model import (
     dump_stream,
     evaluate,
     load_stream,
-    phi_from_events,
-    step_cost,
     teach,
     validate_sequential,
 )
-
-
-def test_step_cost_empty_memory_always_errs() -> None:
-    assert step_cost(set(), "q1") == 1
-
-
-def test_step_cost_stored_fact() -> None:
-    assert step_cost({Fact("q1", "a1")}, "q1") == 0
-
-
-def test_step_cost_unstored_fact() -> None:
-    assert step_cost({Fact("q1", "a1")}, "q2") == 1
 
 
 def test_event_validation() -> None:
@@ -67,15 +53,6 @@ event_lists = st.lists(
 @given(event_lists)
 def test_validate_sequential_matches_quadratic_scan(events) -> None:
     assert validate_sequential(events) == sequential_scan_reference(events)
-
-
-def test_phi_from_events_rejects_rebinding() -> None:
-    assert phi_from_events([teach("q1", "a1"), teach("q2", "a2")]) == {
-        "q1": "a1",
-        "q2": "a2",
-    }
-    with pytest.raises(ValueError):
-        phi_from_events([teach("q1", "a1"), teach("q1", "b")])
 
 
 def _record(ledger: GameLedger, *, cost: int, expert_costs=None, kind=TEACH) -> None:
