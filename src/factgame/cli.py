@@ -135,9 +135,6 @@ def main(argv: list[str] | None = None) -> int:
     except (BudgetViolationError, PigeonholeError) as err:
         print(f"invariant failure: {err}", file=sys.stderr)
         return EXIT_CHECK_FAILED
-    except (ValueError, KeyError) as err:
-        print(f"config error: {err}", file=sys.stderr)
-        return EXIT_CONFIG
     return EXIT_CONFIG
 
 

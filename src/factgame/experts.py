@@ -7,11 +7,14 @@ Two families of experts:
   A panel's scores form one validated, read-only ``N x U`` table
   (:class:`ValueTable`). The panel admits two interchangeable
   representations: an explicit eviction-based simulation
-  (:class:`SimulatedValueSuite`, over per-expert dicts built from the table's
-  rows) and a vectorized form that keeps only the shared seen-set plus each
-  expert's running retention cutoff (:class:`ThresholdValueSuite`, over the
-  table itself). Membership answers must agree; the test suite checks this
-  exhaustively at small scale.
+  (:class:`SimulatedValueSuite`: each expert's memory is a question -> value
+  dict updated in place, with its weakest stored fact tracked, so a first
+  show costs one compare per expert and an eviction one ``min`` over M) and a
+  vectorized form that keeps only the shared seen-set plus each expert's
+  running retention cutoff (:class:`ThresholdValueSuite`, over the table
+  itself). Membership answers must agree; the test suite checks this
+  exhaustively at small scale, and replays the pure per-expert rule
+  (:func:`vb_offer`) against the simulation.
 
 * **Scripted** experts follow deterministic stream-order policies (recency,
   first-seen, stride). Policies depend only on the stream, never on expert
@@ -27,7 +30,8 @@ timing is the caller's contract):
   ``active`` store q; ``token`` names the mask's version, so a suite may
   cache per-mask aggregates between calls with an equal token;
 * ``offer(fact)``: show one fact to every expert; returns the questions whose
-  membership moved, or None when any membership may have moved.
+  membership moved, or None when any membership may have moved. A value
+  suite raises KeyError for a question outside an expert's declared values.
 
 Expert-suite files list one value per line: ``expert <id> value <qid> <nat>``.
 Querying an (expert, question) pair the file never listed is an error.
@@ -304,69 +308,117 @@ class StridePolicy(ScriptedPolicy):
 
 
 class SimulatedValueSuite:
-    """Reference value-based suite: one eviction-based expert state each."""
+    """Reference value-based suite: an explicit eviction simulation, kept
+    apart from the threshold arithmetic.
+
+    Each expert holds its memory as a ``question -> value`` dict updated in
+    place, plus the question of its weakest stored fact. The suite keeps one
+    ``int64`` cutoff vector (the weakest stored value of each full memory, 0
+    while under capacity), written only when a cutoff moves, and one answers
+    dict for the facts any expert has stored. A newcomer costs one value
+    lookup and one compare per expert; the weakest fact is searched for
+    again (a ``min`` over M entries) only on an eviction or when a memory
+    first fills. The pure per-expert rule is :func:`vb_offer`, which the
+    tests replay against this suite.
+    """
 
     backing = "simulation"
 
     def __init__(self, value_functions: Sequence[ValueFunction], capacity: int):
         if not value_functions:
             raise ValueError("need at least one expert")
+        if capacity < 1:
+            raise ValueError("capacity must be >= 1")
         self.capacity = capacity
-        self.states = [ValueBasedExpertState(vf, capacity) for vf in value_functions]
-        self._question_sets: list[frozenset[QuestionId]] = [
-            frozenset() for _ in value_functions
-        ]
+        self._values = [vf.values for vf in value_functions]
+        self._memory: list[dict[QuestionId, int]] = [{} for _ in value_functions]
+        self._weakest: list[QuestionId | None] = [None] * len(value_functions)
+        self._cutoffs = np.zeros(len(value_functions), dtype=np.int64)
+        self._answers: dict[QuestionId, Answer] = {}
 
     @property
     def n(self) -> int:
-        return len(self.states)
+        return len(self._memory)
+
+    @staticmethod
+    def _undeclared(expert: int, question: QuestionId) -> KeyError:
+        return KeyError(
+            f"expert {expert} declares no value for question {question!r}; "
+            "the pair is illegal to query"
+        )
 
     def offer(self, fact: Fact) -> tuple[QuestionId, ...] | None:
+        q = fact.question
+        stored = self._answers.get(q, fact.answer)
+        if stored != fact.answer and any(q in memory for memory in self._memory):
+            raise ValueError(
+                f"conflicting answer for {q!r}: "
+                f"stored {stored!r}, offered {fact.answer!r}"
+            )
+        capacity = self.capacity
+        weakest = self._weakest  # None while a memory is under capacity
         changed: set[QuestionId] = set()
-        for i, state in enumerate(self.states):
-            nxt = vb_offer(state, fact)
-            if nxt is not state:
-                before = self._question_sets[i]
-                self.states[i] = nxt
-                after = nxt.stored_questions()
-                self._question_sets[i] = after
-                changed.update(before ^ after)
+        for e, (values, memory) in enumerate(zip(self._values, self._memory)):
+            try:
+                value = values[q]
+            except KeyError:
+                raise self._undeclared(e, q) from None
+            w = weakest[e]
+            if w is not None:
+                # Every stored value is >= the weakest one, so a value at or
+                # below it is either the weakest fact itself or not stored.
+                if value <= memory[w] or q in memory:
+                    continue
+                del memory[w]
+                memory[q] = value
+                changed.add(w)
+            elif q in memory:
+                continue
+            else:
+                memory[q] = value
+                if len(memory) < capacity:
+                    changed.add(q)
+                    continue
+            changed.add(q)
+            w = weakest[e] = min(memory, key=memory.__getitem__)
+            self._cutoffs[e] = memory[w]
+        if changed:
+            self._answers[q] = fact.answer
         return tuple(changed)
 
     def knows_one(self, expert: int, question: QuestionId) -> bool:
-        if question not in self.states[expert].values:
-            raise KeyError(
-                f"expert {expert} declares no value for question {question!r}; "
-                "the pair is illegal to query"
-            )
-        return question in self._question_sets[expert]
+        if question not in self._values[expert]:
+            raise self._undeclared(expert, question)
+        return question in self._memory[expert]
 
-    def knows(self, question: QuestionId) -> np.ndarray:
+    def _check_declared(self, question: QuestionId) -> None:
         # A vector query touches every (expert, question) pair, so every
         # expert must declare the question.
+        for e, values in enumerate(self._values):
+            if question not in values:
+                raise self._undeclared(e, question)
+
+    def knows(self, question: QuestionId) -> np.ndarray:
+        self._check_declared(question)
         return np.fromiter(
-            (self.knows_one(i, question) for i in range(self.n)),
-            dtype=bool,
-            count=self.n,
+            (question in memory for memory in self._memory), dtype=bool, count=self.n
         )
 
     def knows_many(self, questions: Sequence[QuestionId]) -> np.ndarray:
-        rows = [[self.knows_one(i, q) for i in range(self.n)] for q in questions]
+        for q in questions:
+            self._check_declared(q)
+        rows = [[q in memory for memory in self._memory] for q in questions]
         return np.asarray(rows, dtype=bool).reshape(len(questions), self.n)
 
     def count_active(self, question: QuestionId, active: np.ndarray, token: object = None) -> int:
         return int((self.knows(question) & active).sum())
 
     def union_memory(self) -> set[Fact]:
-        out: set[Fact] = set()
-        for state in self.states:
-            out.update(state.memory)
-        return out
+        answers = self._answers
+        return {Fact(q, answers[q]) for memory in self._memory for q in memory}
 
     def true_thresholds(self) -> np.ndarray:
-        return np.fromiter(
-            (vb_true_threshold(s) for s in self.states), dtype=np.int64, count=self.n
-        )
+        return self._cutoffs.copy()
 
 
 class ThresholdValueSuite:

@@ -257,9 +257,11 @@ def build_adversary(config: RunConfig) -> adv.Adversary:
             teach_fraction = float(options.get("teach", "0.5"))
         except ValueError:
             raise ConfigError(f"option teach in {spec!r} must be a float") from None
-        return adv.FixedStreamAdversary(
-            adv.random_stream(universe, length, teach_fraction, seed)
-        )
+        try:
+            stream = adv.random_stream(universe, length, teach_fraction, seed)
+        except ValueError as err:
+            raise ConfigError(f"{spec!r}: {err}") from None
+        return adv.FixedStreamAdversary(stream)
     if kind == "lowerbound":
         options = _parse_kv(body, spec, kind)
         c = _int_opt(options, "c", spec)
@@ -281,6 +283,8 @@ def build_adversary(config: RunConfig) -> adv.Adversary:
                 stream = load_stream(handle)
         except OSError as err:
             raise ConfigError(f"cannot read stream file {body!r}: {err}") from None
+        except ValueError as err:
+            raise ConfigError(f"stream file {body!r}: {err}") from None
         return adv.FixedStreamAdversary(stream)
     raise ConfigError(f"unknown adversary spec {spec!r}")
 
@@ -362,7 +366,10 @@ def build_learner(
 ) -> lrn.Learner:
     name = config.learner
     if name == "mwu":
-        return lrn.MwuLearner(suite, config.capacity, gamma=config.gamma)
+        try:
+            return lrn.MwuLearner(suite, config.capacity, gamma=config.gamma)
+        except ValueError as err:
+            raise ConfigError(str(err)) from None
     if name == "lazy":
         return lrn.LazyLearner(suite, config.capacity)
     if name == "value-lazy":
@@ -380,6 +387,14 @@ def build_learner(
             budget = adversary.instance.c * config.capacity
         return lrn.RandomEvictLearner(suite.n, config.capacity, budget, seed=config.seed)
     raise ConfigError(f"unknown learner {name!r}")
+
+
+def _undeclared_question(question: QuestionId, err: KeyError) -> ConfigError:
+    # The game loop asks the suite about each question before any learner
+    # does, and a suite raises KeyError only for a question it never declared.
+    return ConfigError(
+        f"stream question {question!r} is outside the expert suite: {err.args[0]}"
+    )
 
 
 def run_game(config: RunConfig) -> tuple[GameLedger, BoundReport]:
@@ -427,7 +442,10 @@ def run_game(config: RunConfig) -> tuple[GameLedger, BoundReport]:
             )
         violation = False
         if event.kind == EVALUATE:
-            know = suite.knows(question)
+            try:
+                know = suite.knows(question)
+            except KeyError as err:
+                raise _undeclared_question(question, err) from None
             expert_costs = ~know
             cost = 0 if question in learner.memory else 1
             if answer is None:
@@ -442,7 +460,10 @@ def run_game(config: RunConfig) -> tuple[GameLedger, BoundReport]:
             expert_costs = None
             cost = 0
         if answer is not None:
-            changed = suite.offer(Fact(question, answer))
+            try:
+                changed = suite.offer(Fact(question, answer))
+            except KeyError as err:
+                raise _undeclared_question(question, err) from None
         else:
             changed = ()
         learner.update_memory(question, answer, changed)
@@ -552,13 +573,19 @@ def sweep(grid: dict, *, on_result=None) -> list[tuple[RunConfig, GameLedger, Bo
     results = []
     for combo in itertools.product(*lists):
         options = dict(zip(keys, combo))
+        try:
+            capacity = int(options.get("M", 1))
+            seed = int(options.get("seed", 0))
+            gamma = float(options.get("gamma", 0.5))
+        except (TypeError, ValueError) as err:
+            raise ConfigError(f"grid cell {options}: {err}") from None
         config = RunConfig(
             learner=options.get("learner", "lazy"),
             adversary=options.get("adversary", "random:universe=16,T=1000"),
             experts=options.get("experts"),
-            capacity=int(options.get("M", 1)),
-            seed=int(options.get("seed", 0)),
-            gamma=float(options.get("gamma", 0.5)),
+            capacity=capacity,
+            seed=seed,
+            gamma=gamma,
             oracle_backing=options.get("backing", "auto"),
         )
         ledger, report = run_game(config)

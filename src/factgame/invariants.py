@@ -108,8 +108,10 @@ def check_top_m_replay(seed: int, rounds: int) -> tuple[bool, str]:
 def check_backings_agree(seed: int, rounds: int) -> tuple[bool, str]:
     """Random suites over universes up to 20 questions, N up to 6 and
     capacities up to 5, fed 1-39 offers of which 40 % re-offer a taught fact:
-    ``knows_many`` and ``true_thresholds`` agree after every offer, and
-    per-probe ``knows`` after each round's last offer."""
+    ``knows_many`` and ``true_thresholds`` agree after every offer, every
+    question whose ``knows_many`` row moved is in the simulation's returned
+    set (learners recount only those), and per-probe ``knows`` agrees after
+    each round's last offer."""
     rng = random.Random(seed)
     steps = 0
     for _ in range(rounds):
@@ -120,6 +122,7 @@ def check_backings_agree(seed: int, rounds: int) -> tuple[bool, str]:
         sim = exp.SimulatedValueSuite(table.value_functions(), capacity)
         thr = exp.ThresholdValueSuite(table, capacity)
         taught: list[QuestionId] = []
+        before = sim.knows_many(qs)
         for _ in range(rng.randrange(1, 40)):
             if taught and rng.random() < 0.4:
                 q = rng.choice(taught)  # evaluate: re-offer of a seen fact
@@ -127,10 +130,15 @@ def check_backings_agree(seed: int, rounds: int) -> tuple[bool, str]:
                 q = rng.choice(qs)
                 taught.append(q)
             fact = Fact(q, f"a-{q}")
-            sim.offer(fact)
+            changed = set(sim.offer(fact))
             thr.offer(fact)
             steps += 1
-            if not np.array_equal(sim.knows_many(qs), thr.knows_many(qs)):
+            after = sim.knows_many(qs)
+            moved = {p for p, row in zip(qs, before != after) if row.any()}
+            if not moved <= changed:
+                return False, f"offer left {sorted(moved - changed)} out after teaching {taught}"
+            before = after
+            if not np.array_equal(after, thr.knows_many(qs)):
                 return False, f"knows_many disagrees after teaching {taught}"
             if not np.array_equal(sim.true_thresholds(), thr.true_thresholds()):
                 return False, f"true_thresholds disagrees after teaching {taught}"

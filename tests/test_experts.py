@@ -5,7 +5,7 @@ import random
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from factgame.experts import (
     KeepFirstPolicy,
@@ -130,8 +130,12 @@ class TestOracleBackings:
         ragged = SimulatedValueSuite([vf(q1=1, q2=2), vf(q1=4)], capacity=1)
         ragged.offer(fact("q1"))
         assert ragged.knows_one(0, "q1") is True
-        with pytest.raises(KeyError):
+        with pytest.raises(KeyError, match="expert 1 declares no value"):
             ragged.knows_one(1, "q2")
+        with pytest.raises(KeyError, match="expert 1 declares no value"):
+            ragged.knows("q2")
+        with pytest.raises(KeyError, match="expert 1 declares no value"):
+            ragged.offer(fact("q2"))
         thr = ThresholdValueSuite(ValueTable.from_mappings([{"q1": 1, "q2": 2}]), capacity=1)
         with pytest.raises(KeyError):
             thr.knows("q9")
@@ -141,6 +145,56 @@ class TestOracleBackings:
             ThresholdValueSuite(
                 ValueTable.from_mappings([{"q1": 1, "q2": 2}, {"q1": 4}]), capacity=1
             )
+
+
+class TestSimulatedSuiteErrors:
+    def test_conflicting_answer_rejected(self) -> None:
+        suite = SimulatedValueSuite([vf(q1=2, q2=1), vf(q1=1, q2=2)], capacity=1)
+        suite.offer(fact("q1"))
+        assert suite.offer(fact("q1")) == ()
+        with pytest.raises(ValueError, match="conflicting answer"):
+            suite.offer(Fact("q1", "other"))
+
+    def test_capacity_below_one_rejected(self) -> None:
+        for capacity in (0, -1):
+            with pytest.raises(ValueError, match="capacity"):
+                SimulatedValueSuite([vf(q1=1)], capacity=capacity)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(1, 6),
+    st.integers(1, 5),
+    st.integers(1, 20),
+    st.lists(st.integers(0, 19), min_size=1, max_size=40),
+    st.integers(0, 2**32 - 1),
+)
+def test_simulated_suite_matches_the_per_expert_reference(n, m, size, picks, seed) -> None:
+    """After every offer, each expert stores the top-M replay of what it was
+    shown, the cutoffs are those of a ``vb_offer`` replay, and ``offer``
+    returns exactly the questions whose membership moved."""
+    universe = [f"q{i}" for i in range(size)]
+    table = random_value_suite(n, universe, seed)
+    value_functions = table.value_functions()
+    suite = SimulatedValueSuite(value_functions, capacity=m)
+    states = [ValueBasedExpertState(values, m) for values in value_functions]
+    offered: list[str] = []
+    stored = [set() for _ in range(n)]
+    for pick in picks:
+        q = universe[pick % size]  # a repeated pick re-offers a shown fact
+        changed = suite.offer(fact(q))
+        offered.append(q)
+        states = [vb_offer(state, fact(q)) for state in states]
+        member = suite.knows_many(universe)
+        moved: set[str] = set()
+        for e, values in enumerate(value_functions):
+            now = {p for p, bit in zip(universe, member[:, e]) if bit}
+            assert now == top_m_replay(offered, values, m)
+            moved |= now ^ stored[e]
+            stored[e] = now
+        assert set(changed) == moved
+        assert len(changed) == len(moved)
+        assert suite.true_thresholds().tolist() == [vb_true_threshold(s) for s in states]
 
 
 def test_true_mistake_update_examples() -> None:

@@ -21,7 +21,7 @@ from factgame.harness import (
     run_game,
     sweep,
 )
-from factgame.experts import ThresholdValueSuite, vb_offer
+from factgame.experts import SimulatedValueSuite, ThresholdValueSuite, vb_offer
 from factgame.invariants import verify
 from factgame.model import CSV_HEADER, TEACH, GameLedger, Stream, evaluate, teach
 
@@ -392,6 +392,39 @@ class TestCli:
         assert main(["run", "--learner", "lazy", "--adversary", "bogus:spec", "--M", "1"]) == 2
         assert main(["run", "--learner", "lazy", "--M", "1"]) == 2  # argparse error
 
+    def test_bad_inputs_exit_2(self, tmp_path, capsys) -> None:
+        bad_stream = tmp_path / "bad.stream"
+        bad_stream.write_text("T q0 a0\nX q1\n")
+        ragged = tmp_path / "ragged.suite"
+        ragged.write_text("expert e0 value q0 1\nexpert e0 value q1 2\nexpert e1 value q0 3\n")
+        grid = tmp_path / "grid.json"
+        grid.write_text(json.dumps({"experts": "scripted:recency,N=2", "M": "two"}))
+        scripted = ["--experts", "scripted:recency,N=2", "--M", "1"]
+        cases = {
+            "teach_fraction": ["--learner", "lazy", "--adversary", "random:universe=4,T=9,teach=2"],
+            "universe_size": ["--learner", "lazy", "--adversary", "random:universe=0,T=9"],
+            "malformed event": ["--learner", "lazy", "--adversary", f"file:{bad_stream}"],
+            "gamma": ["--learner", "mwu", "--gamma", "1.5", "--adversary", "random:universe=4,T=9"],
+        }
+        for message, argv in cases.items():
+            assert main(["run", *argv, *scripted]) == 2, message
+            assert message in capsys.readouterr().err
+        outside = ["--adversary", "random:universe=2,T=20,seed=1", "--experts", str(ragged)]
+        assert main(["run", "--learner", "lazy", "--M", "1", *outside]) == 2
+        assert "stream question 'q1' is outside the expert suite" in capsys.readouterr().err
+        assert main(["sweep", "--grid", str(grid)]) == 2
+        assert "two" in capsys.readouterr().err
+
+    def test_internal_error_is_not_a_config_error(self, monkeypatch, capsys) -> None:
+        def broken(self, question, answer, changed=None):
+            raise KeyError("internal")
+
+        monkeypatch.setattr(harness.lrn.LazyLearner, "update_memory", broken)
+        argv = ["run", "--learner", "lazy", "--adversary", "random:universe=4,T=9", "--M", "1"]
+        with pytest.raises(KeyError, match="internal"):
+            main([*argv, "--experts", "scripted:recency,N=2"])
+        assert "config error" not in capsys.readouterr().err
+
     def test_invariant_failure_exit_code(self, capsys) -> None:
         # the 2M-memory learner overfills the c=1 instance: the pigeonhole
         # selection must fail loudly, not silently weaken
@@ -484,7 +517,16 @@ def _build_lazy_declaring_4m(config, *rest):
         learner.fact_budget = 4 * config.capacity
     return learner
 
-# One fault per shared checker, each planted where only that checker reads it.
+
+_simulated_offer = SimulatedValueSuite.offer
+
+
+def _offer_hiding_evictions(self, fact):
+    return tuple(q for q in _simulated_offer(self, fact) if q == fact.question)
+
+
+# One fault per case, each planted where only one checker reads it; a case
+# named "<entry>/<what>" is a further fault for that same `verify` entry.
 VERIFY_FAULTS = {
     # teaches later in the stream count as earlier ones
     "sequential-scan": (invariants, "validate_sequential", _scan_against_whole_stream),
@@ -495,6 +537,8 @@ VERIFY_FAULTS = {
         lambda state, fact: state if len(state.memory) >= state.capacity else vb_offer(state, fact),
     ),
     "oracle-backings": (ThresholdValueSuite, "knows_many", _knows_many_flipping_expert_0),
+    # offer moves the memories right but reports only the newcomer
+    "oracle-backings/hidden-eviction": (SimulatedValueSuite, "offer", _offer_hiding_evictions),
     # every fact some expert stores is kept, not only majority-backed ones
     "majority-memory-cap": (
         invariants,
@@ -513,7 +557,7 @@ def test_verify_reports_each_injected_fault(monkeypatch, entry) -> None:
     ok, lines = verify(seed=0, quick=True)
     assert not ok
     assert [line.split(":")[0] for line in lines if not line.startswith("PASS")] == [
-        f"FAIL {entry}"
+        f"FAIL {entry.split('/')[0]}"
     ], "\n".join(lines)
 
 
