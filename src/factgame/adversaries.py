@@ -157,6 +157,10 @@ def build_lower_bound_instance(
         # experts in the remainder of this range are thrown out
 
     split(0, n_experts, depth, ())
+    # split refers to itself through its closure; deleting the name breaks
+    # that cycle, so the function is freed now rather than by a later run of
+    # the cyclic collector.
+    del split
 
     # Question g of the enumeration above has base value g + 1 for everyone;
     # the table's columns follow sorted(universe, key=str).

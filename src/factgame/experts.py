@@ -128,14 +128,17 @@ class ValueTable:
                     f"expert {e}: value for {self.universe[c]!r} must be an "
                     f"integer >= 1, got {array[e, c]}"
                 )
-            ordered = np.sort(array, axis=1)
-            repeats = ordered[:, 1:] == ordered[:, :-1]
-            if repeats.any():
-                e, c = np.argwhere(repeats)[0]
-                raise ValueError(
-                    f"expert {e}: value function not injective, "
-                    f"{ordered[e, c]} is used twice"
-                )
+            # Rows are sorted 64 at a time: one sorted copy of the whole
+            # table would double the memory that building it takes.
+            for lo in range(0, n, 64):
+                ordered = np.sort(array[lo:lo + 64], axis=1)
+                repeats = ordered[:, 1:] == ordered[:, :-1]
+                if repeats.any():
+                    e, c = np.argwhere(repeats)[0]
+                    raise ValueError(
+                        f"expert {lo + e}: value function not injective, "
+                        f"{ordered[e, c]} is used twice"
+                    )
         array.flags.writeable = False
         self.values = array
 

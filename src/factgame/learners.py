@@ -19,7 +19,7 @@ and a random-eviction strawman for lower-bound experiments.
 from __future__ import annotations
 
 import random
-from typing import Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -230,12 +230,20 @@ class ValueLazyLearner(_ActiveSetLearner):
 
     Expert memberships are estimated as ``value(e, q) >= cutoff(e)`` where
     each cutoff is a monotone lower bound on the expert's true retention
-    cutoff, refreshed from the questions the learner itself holds. Mistakes
-    the estimated majority would have avoided are parked in a bounded
-    question-only buffer until a second cutoff estimate can classify them.
+    cutoff: the capacity-th largest value over the pool of questions the
+    learner itself holds, stored or parked. Mistakes the estimated majority
+    would have avoided are parked in a bounded question-only buffer until a
+    second cutoff estimate, over the buffer alone, can classify them.
 
     Cutoffs are stored as the attaining question's column (one auxiliary
-    entry each); values are read from the shared table on demand.
+    entry each); their values are a cache read from the shared table. A
+    cutoff moves only once capacity pool values beat it, so the learner
+    keeps ``above[e]``, the number of pool columns whose value beats row e's
+    cutoff, and ``above_pre[e]``, the same over the buffer for the
+    pre-cutoff. A column joining or leaving the pool costs one compare down
+    its table column, and a refresh recomputes only the active rows whose
+    count reached the capacity. State is O(N) plus O(pool): no per-question
+    array over the universe.
     """
 
     name = "value-lazy"
@@ -244,16 +252,16 @@ class ValueLazyLearner(_ActiveSetLearner):
         super().__init__(table.n, capacity)
         self.values = table.values  # shared by reference, never copied
         self._column = table.column
-        self._rows = np.arange(self.n)
         self.t_col = np.full(self.n, -1, dtype=np.int64)
         self.tpre_col = np.full(self.n, -1, dtype=np.int64)
+        self._t_vals = np.full(self.n, SENTINEL_VALUE, dtype=np.int64)
+        self._tpre_vals = np.full(self.n, SENTINEL_VALUE, dtype=np.int64)
+        self.above = np.zeros(self.n, dtype=np.int64)
+        self.above_pre = np.zeros(self.n, dtype=np.int64)
         self.minor: dict[int, QuestionId] = {}
         self._mem_cols: dict[QuestionId, int] = {}
         self._cutoff_generation = self.generation
         self._save_counts: dict[QuestionId, int] = {}
-        self._pool_added: list[int] = []  # buffer columns added since the last refresh
-        self._t_vals: np.ndarray | None = None
-        self._tpre_vals: np.ndarray | None = None
         self.question_budget = 2 * capacity
         self.aux_state_count = 4 * self.n  # error counts, active flags, two cutoff ids
 
@@ -261,31 +269,42 @@ class ValueLazyLearner(_ActiveSetLearner):
     def question_memory_size(self) -> int:
         return len(self.minor)
 
-    def _col_values(self, cols: np.ndarray) -> np.ndarray:
-        defined = cols >= 0
-        vals = self.values[self._rows, np.where(defined, cols, 0)]
-        return np.where(defined, vals, SENTINEL_VALUE)
-
     def threshold_values(self) -> np.ndarray:
-        if self._t_vals is None:
-            self._t_vals = self._col_values(self.t_col)
         return self._t_vals
 
     def pre_threshold_values(self) -> np.ndarray:
-        if self._tpre_vals is None:
-            self._tpre_vals = self._col_values(self.tpre_col)
         return self._tpre_vals
 
-    def _raise_cutoffs(self, pool: np.ndarray, cutoff_cols: np.ndarray, current: np.ndarray) -> bool:
-        # Monotone: only active experts move, and only upward.
-        if pool.size < self.M:
-            return False  # under-full pool keeps the sentinel cutoff
-        vals, pos = _kth_largest_rows(self.values[:, pool], self.M)
-        upd = self.active & (vals > current)
-        if upd.any():
-            cutoff_cols[upd] = pool[pos[upd]]
-            return True
-        return False
+    def _pool(self) -> Iterator[int]:
+        """Every pool column once: the stored ones, then the parked ones
+        not also stored."""
+        mem_cols = self._mem_cols
+        yield from mem_cols.values()
+        for col, question in self.minor.items():
+            if question not in mem_cols:
+                yield col
+
+    def _raise_cutoffs(
+        self,
+        pool: Iterable[int],
+        cutoff_cols: np.ndarray,
+        cut_vals: np.ndarray,
+        above: np.ndarray,
+    ) -> tuple[np.ndarray, np.ndarray] | None:
+        """Raise every active row with at least capacity pool values above
+        its cutoff to the capacity-th largest of them. Returns the moved rows
+        and their old cutoff values, or None when no row moves; ``pool`` is
+        read only then."""
+        rows = np.flatnonzero(self.active & (above >= self.M))
+        if not rows.size:
+            return None
+        cols = np.fromiter(pool, dtype=np.int64)
+        vals, pos = _kth_largest_rows(self.values[np.ix_(rows, cols)], self.M)
+        old = cut_vals[rows]
+        cutoff_cols[rows] = cols[pos]
+        cut_vals[rows] = vals
+        above[rows] = self.M - 1  # rows are injective: M-1 pool values beat the new cutoff
+        return rows, old
 
     def update_pre_threshold(self, question: QuestionId) -> None:
         """Park a missed question in the bounded buffer, raise the
@@ -295,82 +314,73 @@ class ValueLazyLearner(_ActiveSetLearner):
         col = self._column(question)
         if col not in self.minor:
             self.minor[col] = question
-            self._pool_added.append(col)
-        pool = np.fromiter(self.minor, dtype=np.int64, count=len(self.minor))
-        if self._raise_cutoffs(pool, self.tpre_col, self.pre_threshold_values()):
-            self._tpre_vals = None
-        tpre = self.pre_threshold_values()
-        for c in list(self.minor):  # snapshot; removals mutate the buffer
-            failing = self.active & (self.values[:, c] < tpre)
-            if 2 * int(failing.sum()) >= self.n_active:
-                self.errors[failing] += 1
-                del self.minor[c]
-
-    def update_threshold(self) -> bool:
-        """Raise every active expert's cutoff to the capacity-th largest
-        value over the stored-plus-parked question pool; reports whether any
-        cutoff moved."""
-        pool = set(self._mem_cols.values())
-        pool.update(self.minor)
-        if not pool:
-            return False
-        moved = self._raise_cutoffs(
-            np.fromiter(pool, dtype=np.int64, count=len(pool)),
-            self.t_col,
-            self.threshold_values(),
-        )
-        if moved:
-            self._t_vals = None
-        return moved
+            self.above_pre += self.values[:, col] > self._tpre_vals
+            if question not in self._mem_cols:
+                self.above += self.values[:, col] > self._t_vals
+        self._raise_cutoffs(self.minor.keys(), self.tpre_col, self._tpre_vals, self.above_pre)
+        # Nothing a resolution reads (active set, pre-cutoffs, n_active)
+        # changes while the buffer resolves, so every column is judged at once.
+        cols = np.fromiter(self.minor, dtype=np.int64, count=len(self.minor))
+        tpre = self._tpre_vals[:, None]
+        sub = self.values[:, cols]
+        failing = (sub < tpre) & self.active[:, None]
+        resolved = 2 * np.count_nonzero(failing, axis=0) >= self.n_active
+        if not resolved.any():
+            return
+        self.errors += np.count_nonzero(failing[:, resolved], axis=1)
+        self.above_pre -= np.count_nonzero(sub[:, resolved] > tpre, axis=1)
+        leaving = []  # resolved columns not also stored leave the main pool
+        for c in cols[resolved].tolist():
+            if self.minor.pop(c) not in self._mem_cols:
+                leaving.append(c)
+        if leaving:
+            self.above -= np.count_nonzero(
+                self.values[:, leaving] > self._t_vals[:, None], axis=1
+            )
 
     def observe_evaluation(self, question: QuestionId, know: np.ndarray | None = None) -> None:
         if question in self.memory:
             return  # only a learner mistake triggers the weight phase
         col = self._column(question)
-        failed = self.active & (self.values[:, col] < self.threshold_values())
+        failed = self.active & (self.values[:, col] < self._t_vals)
         if 2 * int(failed.sum()) < self.n_active:
             self.update_pre_threshold(question)
         else:
             self.errors[failed] += 1
         self._drop_bad_experts()  # a hard reset here leaves both cutoffs in place
 
-    def _refresh_main_cutoffs(self, new_col: int | None) -> bool:
-        """Run :meth:`update_threshold`, skipping the recompute when it
-        provably cannot move anything: between active-set changes the
-        cutoffs already dominate every earlier pool, so only a new pool
-        member beating some active expert's cutoff matters."""
-        stale = self.generation != self._cutoff_generation
-        fresh = list(self._pool_added)
-        self._pool_added.clear()
-        if new_col is not None:
-            fresh.append(new_col)
-        if not stale:
-            if not fresh:
-                return False  # the pool can only have shrunk
-            tv = self.threshold_values()
-            if not any(
-                (self.active & (self.values[:, c] > tv)).any() for c in fresh
-            ):
-                return False
-        moved = self.update_threshold()
-        self._cutoff_generation = self.generation
-        return moved or stale
-
     def _save_count(self, col: int) -> int:
-        return int(
-            ((self.values[:, col] >= self.threshold_values()) & self.active).sum()
-        )
+        return int(((self.values[:, col] >= self._t_vals) & self.active).sum())
 
     def _recount_saves(self) -> None:
         questions = list(self.memory)
         mem_cols = np.fromiter(
             (self._mem_cols[q] for q in questions), dtype=np.int64, count=len(questions)
         )
-        save = (
-            self.values[:, mem_cols] >= self.threshold_values()[:, None]
-        ) & self.active[:, None]
+        save = (self.values[:, mem_cols] >= self._t_vals[:, None]) & self.active[:, None]
         counts = save.sum(axis=0)
         self._save_counts = dict(zip(questions, (int(c) for c in counts)))
+
+    def _lose_savers(self, rows: np.ndarray, old: np.ndarray) -> dict[QuestionId, int]:
+        """Charge the counted facts for the savers lost when the cutoffs of
+        ``rows`` rose from ``old``: a row stops saving a fact whose value
+        lies in [old, new). Returns the facts whose count fell."""
+        counts = self._save_counts
+        if not counts:
+            return {}
+        questions = list(counts)
+        cols = np.fromiter(
+            (self._mem_cols[q] for q in questions), dtype=np.int64, count=len(questions)
+        )
+        sub = self.values[np.ix_(rows, cols)]
+        lost = np.count_nonzero(
+            (sub >= old[:, None]) & (sub < self._t_vals[rows][:, None]), axis=0
+        )
+        fell = {}
+        for i in np.flatnonzero(lost).tolist():
+            q = questions[i]
+            fell[q] = counts[q] = counts[q] - int(lost[i])
+        return fell
 
     def update_memory(
         self,
@@ -378,31 +388,37 @@ class ValueLazyLearner(_ActiveSetLearner):
         answer: Answer | None,
         changed: Sequence[QuestionId] | None = None,
     ) -> None:
-        new_col: int | None = None
         if answer is not None:
-            new_col = self._column(question)
+            if question not in self._mem_cols:
+                col = self._column(question)
+                self._mem_cols[question] = col
+                if col not in self.minor:
+                    self.above += self.values[:, col] > self._t_vals
             self.memory[question] = answer  # step fact joins before the cutoff refresh
-            self._mem_cols[question] = new_col
-        moved = self._refresh_main_cutoffs(new_col)
+        moved = self._raise_cutoffs(self._pool(), self.t_col, self._t_vals, self.above)
+        stale = self.generation != self._cutoff_generation
+        self._cutoff_generation = self.generation
         if not self.memory:
             return
         # Verdicts depend only on (cutoffs, active set): re-check everything
-        # after a cutoff move, otherwise just the fact that gained a count.
-        if moved:
+        # after an active-set change, otherwise just the facts that lost a
+        # saver to a cutoff move and the fact that gained a count.
+        if stale:
             self._recount_saves()
             suspects = self._save_counts
-        elif question in self.memory and question not in self._save_counts:
-            count = self._save_count(self._mem_cols[question])
-            self._save_counts[question] = count
-            suspects = {question: count}
         else:
-            return
+            suspects = {} if moved is None else self._lose_savers(*moved)
+            if question in self.memory and question not in self._save_counts:
+                count = self._save_count(self._mem_cols[question])
+                self._save_counts[question] = suspects[question] = count
         threshold = self.n_active
         drops = [q for q, c in suspects.items() if 2 * c < threshold]
         for q in drops:
             del self.memory[q]
-            del self._mem_cols[q]
             del self._save_counts[q]
+            col = self._mem_cols.pop(q)
+            if col not in self.minor:
+                self.above -= self.values[:, col] > self._t_vals
 
 
 class FullSimLearner(Learner):

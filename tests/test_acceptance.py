@@ -1,7 +1,8 @@
 """Acceptance suite: one test per criterion, each printing a PASS/FAIL line.
 
 The two big sweeps (criteria 1-4) run once per session, parallelized over
-disjoint configurations; every other criterion is self-contained. Run with
+disjoint configurations, and carry the ``slow`` marker (``-m "not slow"``
+skips them); every other criterion is self-contained. Run with
 ``pytest tests/test_acceptance.py -s`` to see the per-criterion lines live.
 
 Criterion 6 checks the forced-mistake floor at each learner's own memory
@@ -146,6 +147,7 @@ def _report(criterion: str, ok: bool, detail: str) -> None:
     print(f"[acceptance] {criterion}: {'PASS' if ok else 'FAIL'} ({detail})")
 
 
+@pytest.mark.slow
 def test_criterion_1_memory_bound_oracle_learner(scripted_sweep) -> None:
     results, elapsed = scripted_sweep
     assert len(results) >= 100
@@ -161,6 +163,7 @@ def test_criterion_1_memory_bound_oracle_learner(scripted_sweep) -> None:
     assert elapsed < 120.0, f"sweep took {elapsed:.0f}s, budget is 120s"
 
 
+@pytest.mark.slow
 def test_criterion_2_memory_bound_value_learner(value_sweep) -> None:
     results, elapsed = value_sweep
     assert len(results) >= 100
@@ -181,6 +184,7 @@ def test_criterion_2_memory_bound_value_learner(value_sweep) -> None:
     assert not bad, f"memory class exceeded in: {bad[:3]}"
 
 
+@pytest.mark.slow
 def test_criterion_3_mistake_bounds(scripted_sweep, value_sweep) -> None:
     scripted, _ = scripted_sweep
     value, _ = value_sweep
@@ -196,6 +200,7 @@ def test_criterion_3_mistake_bounds(scripted_sweep, value_sweep) -> None:
     assert not bad, f"derived-safe mistake bound failed in: {bad[:3]}"
 
 
+@pytest.mark.slow
 def test_criterion_4_threshold_soundness(value_sweep) -> None:
     results, _ = value_sweep
     bad = [

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import gc
 import io
 
 import numpy as np
@@ -75,6 +76,19 @@ class TestLowerBoundInstance:
     def test_degenerate_tree_rejected(self) -> None:
         with pytest.raises(ValueError):
             build_lower_bound_instance(c=2, n_experts=3, capacity=1, opt=0)
+
+    def test_build_leaves_no_reference_cycle(self) -> None:
+        # Set-up garbage must go by reference counting: a cycle keeps its
+        # memory until the cyclic collector runs, which a lean step loop
+        # delays, and the held chunk fragments the heap under the next
+        # game's value table.
+        gc.collect()
+        gc.disable()
+        try:
+            build_lower_bound_instance(c=2, n_experts=64, capacity=4, opt=1)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
     def test_surplus_experts_are_thrown_out(self) -> None:
         inst = build_lower_bound_instance(c=1, n_experts=5, capacity=1, opt=0)

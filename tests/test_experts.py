@@ -322,6 +322,11 @@ class TestValueTable:
             ValueTable(["a", "b", "c"], [[1, 2, 3], [3, 1, 3]])
         # the same value in different rows is legal
         ValueTable(["a", "b"], [[1, 2], [1, 2]])
+        # rows are checked in blocks; the error names the row in the table
+        rows = [[1, 2, 3]] * 80
+        rows[70] = [2, 2, 3]
+        with pytest.raises(ValueError, match="expert 70: .* 2 is used twice"):
+            ValueTable(["a", "b", "c"], rows)
 
     def test_rejects_a_ragged_table(self) -> None:
         with pytest.raises(ValueError, match="rectangular"):

@@ -334,6 +334,55 @@ def test_value_lazy_matches_naive_reference_on_random_streams() -> None:
             assert len(fast.minor) <= 2 * capacity
 
 
+@given(
+    n=st.integers(1, 64),
+    capacity=st.integers(1, 4),
+    universe=st.integers(1, 24),
+    seed=st.integers(0, 10**6),
+    events=st.integers(0, 200).flatmap(
+        lambda t: st.lists(st.tuples(st.booleans(), st.integers(0, 23)), min_size=t, max_size=t)
+    ),
+)
+@settings(max_examples=100, deadline=None)
+def test_value_lazy_pool_counts_match_brute_force(n, capacity, universe, seed, events) -> None:
+    # Teaches and evaluates over a small universe, answered as the harness
+    # answers them (an evaluate of a taught question carries its answer), so
+    # questions get parked, then taught while parked, and taught again.
+    # After every step the kept counts must equal a recount over the pool,
+    # and every cutoff the naive reference's.
+    names = [f"q{i}" for i in range(universe)]
+    table = random_value_suite(n, names, seed)
+    fast = ValueLazyLearner(table, capacity)
+    slow = NaiveValueLazy(table.value_functions(), capacity)
+    values = table.values
+    taught: dict = {}
+    for is_teach, i in events:
+        question = names[i % universe]
+        if is_teach:
+            answer = taught.setdefault(question, "a")
+        else:
+            answer = taught.get(question)
+            fast.observe_evaluation(question)
+            slow.observe(question)
+        fast.update_memory(question, answer, None)
+        slow.update(question, answer)
+        pool = sorted(set(fast._mem_cols.values()) | set(fast.minor))
+        parked = sorted(fast.minor)
+        cut = fast.threshold_values()
+        pre = fast.pre_threshold_values()
+        assert list(fast.above) == list(
+            np.count_nonzero(values[:, pool] > cut[:, None], axis=1)
+        )
+        assert list(fast.above_pre) == list(
+            np.count_nonzero(values[:, parked] > pre[:, None], axis=1)
+        )
+        assert [int(v) for v in cut] == slow.cut
+        assert [int(v) for v in pre] == slow.pre
+        assert set(fast.memory) == set(slow.memory)
+        assert sorted(fast.minor.values()) == sorted(slow.minor)
+        assert list(fast.errors) == slow.errors
+
+
 def make_value_lazy(values_by_expert, capacity):
     return ValueLazyLearner(ValueTable.from_mappings(values_by_expert), capacity)
 
