@@ -565,8 +565,9 @@ class ScriptedSuite:
 
     def union_memory(self) -> set[Fact]:
         out: set[Fact] = set()
-        for policy in self.policies:
-            out.update(policy.memory())
+        # A policy that backs no expert holds no expert's memory.
+        for i in np.unique(self.expert_policy).tolist():
+            out.update(self.policies[i].memory())
         return out
 
 

@@ -177,9 +177,12 @@ def forced_floor_failures(
     """Play the class-c lower-bound instance against ``learner`` for each
     (N, M, opt) case; returns one line per broken promise.
 
-    The learner must make at least ``depth * (M // 2) + opt`` mistakes, some
-    surviving expert at most ``opt``, and the learner's reported fact cap must
-    be c*M. A ``PigeonholeError`` (the learner holds more facts than the
+    The learner must make at least ``depth * (M // 2) + opt`` mistakes, and
+    at least ``M - M // 2`` in each phase-1 evaluate run: the chosen block
+    holds at most ``M // 2`` stored facts, and a fact left unstored can be
+    stored again only at its own evaluate, after its cost. Some surviving
+    expert must make at most ``opt``, and the learner's reported fact cap
+    must be c*M. A ``PigeonholeError`` (the learner holds more facts than the
     instance targets) is a failure too.
     """
     failures = []
@@ -201,6 +204,15 @@ def forced_floor_failures(
         floor = instance.depth * (capacity // 2) + opt
         if ledger.learner_mistakes < floor:
             failures.append(f"{where}: L={ledger.learner_mistakes} < {floor}")
+        # Collection k teaches arity*M facts, then evaluates one block of M.
+        span = (instance.arity + 1) * capacity
+        for k in range(instance.depth):
+            start = k * span + instance.arity * capacity
+            run = sum(ledger.costs[start : start + capacity])
+            if run < capacity - capacity // 2:
+                failures.append(
+                    f"{where}: collection {k + 1} evaluates cost {run} < {capacity - capacity // 2}"
+                )
         survivors = adversary.surviving_experts()
         if not survivors:
             failures.append(f"{where}: no expert survives")
@@ -242,10 +254,12 @@ def _check_run_bounds(seed: int, quick: bool) -> tuple[bool, str]:
 def _check_lower_bound(seed: int) -> tuple[bool, str]:
     # The construction's memory class must match the learner: the lazy
     # learners hold up to 2M facts, so they face c=2 instances; the budgeted
-    # strawman faces c=1.
+    # strawman faces c=1. At M=2 a block choice is one mistake either way;
+    # the M=4 case can tell a wrong one.
     failures = []
     for learner, c, n in (("lazy", 2, 16), ("value-lazy", 2, 16), ("random-evict", 1, 8)):
-        failures += [f"{learner} {f}" for f in forced_floor_failures(learner, c, [(n, 2, 1)], seed)]
+        cases = [(n, 2, 1), (16, 4, 1)]
+        failures += [f"{learner} {f}" for f in forced_floor_failures(learner, c, cases, seed)]
     if failures:
         return False, "; ".join(failures)
     return True, "forced-mistake floor holds at matching memory class"

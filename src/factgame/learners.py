@@ -81,7 +81,21 @@ class Learner:
 class MwuLearner(Learner):
     """Multiplicative weights baseline: every expert's error count drives a
     weight (1-gamma)**errors, and a fact survives iff the experts that store
-    it carry at least half of the total weight."""
+    it carry at least half of the total weight.
+
+    The stored facts' membership rows are kept as one matrix in memory
+    order, a memo of suite answers refreshed through the ``changed``
+    contract: one suite call per step over the changed stored questions
+    plus a newly stored fact (``knows`` for one question, ``knows_many`` for
+    more), and ``knows_many`` over every stored fact when ``changed`` is
+    None. The memo is not learner state, so ``aux_state_count`` omits it.
+    The weights and the half-weight threshold are cached until the next
+    evaluation. A step that changes neither the weights nor the matrix, after
+    a test that kept every row, re-tests nothing: the product would come out
+    bit for bit the same. Any other step re-tests the whole matrix with one
+    product, because the product's per-row rounding depends on the row
+    count, so only the whole product gives the verdicts of a full recompute.
+    """
 
     name = "mwu"
 
@@ -93,16 +107,42 @@ class MwuLearner(Learner):
         self.gamma = gamma
         self.errors = np.zeros(self.n, dtype=np.int64)
         self.aux_state_count = 2 * self.n + 1  # error counts, derived weights, gamma
+        self._weights: np.ndarray | None = None  # None: stale since an evaluation
+        self._half = 0.0
+        # Row i of _know[:len(memory)] is the membership of the i-th stored
+        # question as 0.0/1.0: the product skips the bool-to-float cast and
+        # rounds bit for bit as the product of the bool matrix does.
+        self._know = np.zeros((2 * capacity + 1, self.n))
+        self._row: dict[QuestionId, int] = {}
+        self._settled = True  # the last test kept every row
 
     def weights(self) -> np.ndarray:
         # Shifting by the minimum error count is scale-invariant for the
         # majority test and keeps the powers inside float range on long runs.
-        return (1.0 - self.gamma) ** (self.errors - self.errors.min())
+        if self._weights is None:
+            w = self._weights = (1.0 - self.gamma) ** (self.errors - self.errors.min())
+            self._half = 0.5 * w.sum()
+        return self._weights
 
     def observe_evaluation(self, question: QuestionId, know: np.ndarray | None = None) -> None:
         if know is None:
             know = self.suite.knows(question)
         self.errors += ~know
+        if 0 < np.count_nonzero(know) < self.n:  # a unanimous verdict shifts no weight
+            self._weights = None
+
+    def _reserve(self, rows: int) -> None:
+        if rows > len(self._know):
+            grown = np.zeros((2 * rows, self.n))
+            kept = len(self._row)
+            grown[:kept] = self._know[:kept]
+            self._know = grown
+
+    def _refresh_all(self) -> None:
+        questions = list(self.memory)
+        self._reserve(len(questions))
+        self._know[: len(questions)] = self.suite.knows_many(questions)
+        self._row = {q: i for i, q in enumerate(questions)}
 
     def update_memory(
         self,
@@ -110,19 +150,43 @@ class MwuLearner(Learner):
         answer: Answer | None,
         changed: Sequence[QuestionId] | None = None,
     ) -> None:
-        if answer is not None:
-            self.memory[question] = answer
-        if not self.memory:
+        memory = self.memory
+        joined = answer is not None and question not in memory
+        if joined:
+            memory[question] = answer
+        if not memory:
             return
-        questions = list(self.memory)
-        know = self.suite.knows_many(questions)
+        if changed is None:
+            self._refresh_all()
+        else:
+            row = self._row
+            stale = [q for q in dict.fromkeys(changed) if q in row]
+            if joined:
+                self._reserve(len(memory))
+                row[question] = len(row)
+                stale.append(question)
+            if len(stale) == 1:
+                self._know[row[stale[0]]] = self.suite.knows(stale[0])
+            elif stale:
+                self._know[[row[q] for q in stale]] = self.suite.knows_many(stale)
+            elif self._settled and self._weights is not None:
+                return  # same matrix, same weights: the same product keeps all
         w = self.weights()
-        saved = know @ w
-        keep = saved >= 0.5 * w.sum()  # exactly half the weight persists the fact
-        if not keep.all():
-            for q, k in zip(questions, keep):
-                if not k:
-                    del self.memory[q]
+        know = self._know[: len(memory)]
+        # exactly half the weight persists the fact
+        drops = (know @ w < self._half).nonzero()[0].tolist()
+        self._settled = not drops
+        if self._settled:
+            return
+        if drops == [len(memory) - 1]:  # the common case: the newest row goes
+            q = next(reversed(memory))
+            del memory[q], self._row[q]
+            return
+        questions = list(memory)
+        for i in drops:
+            del memory[questions[i]]
+        self._know[: len(memory)] = np.delete(know, drops, axis=0)
+        self._row = {q: i for i, q in enumerate(memory)}
 
 
 class _ActiveSetLearner(Learner):
@@ -423,7 +487,13 @@ class ValueLazyLearner(_ActiveSetLearner):
 
 class FullSimLearner(Learner):
     """Store-everything baseline: memory mirrors the union of all expert
-    memories after each step."""
+    memories after each step.
+
+    The union moves only through ``changed``: one ``knows_many`` call over
+    those questions, where a question some expert holds joins (only the
+    step's fact can newly join) and one nobody holds leaves. The union is
+    rebuilt from ``union_memory()`` only when ``changed`` is None.
+    """
 
     name = "full-sim"
 
@@ -438,9 +508,19 @@ class FullSimLearner(Learner):
         answer: Answer | None,
         changed: Sequence[QuestionId] | None = None,
     ) -> None:
-        # in-place: the harness hands out a live view of this dict
-        self.memory.clear()
-        self.memory.update((f.question, f.answer) for f in self.suite.union_memory())
+        memory = self.memory  # in-place: the harness hands out a live view of this dict
+        if changed is None:
+            memory.clear()
+            memory.update((f.question, f.answer) for f in self.suite.union_memory())
+            return
+        if not changed:
+            return
+        held = self.suite.knows_many(changed).any(axis=1)
+        for q, h in zip(changed, held.tolist()):
+            if not h:
+                memory.pop(q, None)
+            elif q not in memory:
+                memory[q] = answer  # q is the step's fact
 
 
 class RandomEvictLearner(Learner):

@@ -107,7 +107,9 @@ class GameLedger:
     """Per-step cost and memory accounting for one game run.
 
     Learner mistakes, per-expert true mistakes, and the best-expert count are
-    running sums; memory traces record end-of-step sizes.
+    running sums; memory traces record end-of-step sizes. The ledger keeps
+    one expert with the fewest mistakes (the witness): the fewest can only
+    grow when that expert errs, so only then is the minimum searched again.
     """
 
     __slots__ = (
@@ -125,6 +127,7 @@ class GameLedger:
         "violations",
         "_learner_total",
         "_opt",
+        "_witness",
     )
 
     def __init__(self, n_experts: int):
@@ -144,6 +147,7 @@ class GameLedger:
         self.violations: list[int] = []
         self._learner_total = 0
         self._opt = 0
+        self._witness = 0
 
     def __len__(self) -> int:
         return len(self.costs)
@@ -180,9 +184,9 @@ class GameLedger:
                 costs = costs.astype(np.int64)
                 if costs.size and (costs.min() < 0 or costs.max() > 1):
                     raise ValueError("expert costs must be 0 or 1")
-            if costs.any():
-                self.expert_mistakes += costs
-                self._opt = int(self.expert_mistakes.min())
+            self.expert_mistakes += costs
+            if costs[self._witness]:
+                self._refresh_witness()
         self._learner_total += int(cost)
         self.kinds.append(kind)
         self.questions.append(question)
@@ -194,6 +198,10 @@ class GameLedger:
         self.aux_trace.append(int(aux_state))
         self.active_trace.append(int(active_experts))
         return self
+
+    def _refresh_witness(self) -> None:
+        self._witness = int(self.expert_mistakes.argmin())
+        self._opt = int(self.expert_mistakes[self._witness])
 
     def flag_violation(self) -> None:
         """Mark the just-recorded step as an evaluate on a never-taught

@@ -255,6 +255,16 @@ class TestScriptedPolicies:
                     assert probe in changed
             before = after
 
+    def test_union_memory_holds_only_what_some_expert_stores(self) -> None:
+        # striped has four policies; with two experts only the first two back
+        # anyone, so a fact only KeepFirst stores is in no expert's memory.
+        suite = build_scripted_suite("striped", n_experts=2, capacity=2)
+        universe = [f"q{i}" for i in range(6)]
+        for q in universe + universe[:3]:
+            suite.offer(fact(q))
+            union = {f.question for f in suite.union_memory()}
+            assert union == {p for p in universe if suite.knows(p).any()}
+
 
 class TestSuiteFile:
     def test_roundtrip(self) -> None:

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from factgame import harness, invariants
+from factgame.adversaries import LowerBoundAdversary
 from factgame.cli import main
 from factgame.harness import (
     AUX_CAP_FACTOR,
@@ -521,6 +522,14 @@ def _build_lazy_declaring_4m(config, *rest):
 _simulated_offer = SimulatedValueSuite.offer
 
 
+def _select_best_stored_block(self, k):
+    stored = [
+        sum(f.question in self._view for f in self.instance.block(k, i))
+        for i in range(1, self.instance.arity + 1)
+    ]
+    return 1 + stored.index(max(stored))
+
+
 def _offer_hiding_evictions(self, fact):
     return tuple(q for q in _simulated_offer(self, fact) if q == fact.question)
 
@@ -547,6 +556,8 @@ VERIFY_FAULTS = {
     ),
     # lazy declares 4M facts where its memory class is 2M
     "lower-bound": (harness, "build_learner", _build_lazy_declaring_4m),
+    # the adversary evaluates the block the learner stored best
+    "lower-bound/best-block": (LowerBoundAdversary, "_select_block", _select_best_stored_block),
 }
 
 

@@ -111,6 +111,175 @@ class TestMwu:
             MwuLearner(StubSuite(1), capacity=1, gamma=1.0)
 
 
+class NaiveMwu:
+    """Direct restatement of the mwu update rules: weights and memberships
+    recomputed from scratch on every step."""
+
+    def __init__(self, suite, gamma: float):
+        self.suite, self.gamma = suite, gamma
+        self.errors = np.zeros(suite.n, dtype=np.int64)
+        self.memory: dict = {}
+
+    def observe(self, question) -> None:
+        self.errors += ~self.suite.knows(question)
+
+    def update(self, question, answer) -> None:
+        if answer is not None:
+            self.memory[question] = answer
+        if self.memory:
+            questions = list(self.memory)
+            w = (1.0 - self.gamma) ** (self.errors - self.errors.min())
+            saved = self.suite.knows_many(questions) @ w
+            for q, s in zip(questions, saved):
+                if s < 0.5 * w.sum():
+                    del self.memory[q]
+
+
+def make_suite(backing: str, n: int, capacity: int, universe: int, seed: int):
+    """A fresh suite of the given backing; value panels derive from the seed."""
+    if backing == "scripted":
+        return build_scripted_suite(("recency", "first-vs-last", "striped")[seed % 3], n, capacity)
+    table = random_value_suite(n, [f"q{i}" for i in range(universe)], seed + 1)
+    if backing == "simulation":
+        return SimulatedValueSuite(table.value_functions(), capacity)
+    return ThresholdValueSuite(table, capacity)
+
+
+def test_mwu_matches_naive_reference_on_random_streams() -> None:
+    rng = random.Random(4)
+    for trial in range(18):
+        backing = ("scripted", "simulation", "threshold")[trial % 3]
+        n, capacity = rng.choice([2, 3, 5, 8]), rng.choice([1, 2, 4])
+        universe, gamma = rng.choice([8, 16]), rng.choice([0.5, 0.3, 0.9])
+        fast_suite = make_suite(backing, n, capacity, universe, trial)
+        slow_suite = make_suite(backing, n, capacity, universe, trial)
+        fast = MwuLearner(fast_suite, capacity, gamma=gamma)
+        slow = NaiveMwu(slow_suite, gamma)
+        for event in random_stream(universe, 300, rng.choice([0.3, 0.5, 0.8]), trial):
+            if event.is_evaluate:
+                fast.observe_evaluation(event.question)
+                slow.observe(event.question)
+            changed = fast_suite.offer(Fact(event.question, event.answer))
+            slow_suite.offer(Fact(event.question, event.answer))
+            fast.update_memory(event.question, event.answer, changed)
+            slow.update(event.question, event.answer)
+            assert fast.memory == slow.memory, (trial, backing)
+            assert list(fast.errors) == list(slow.errors)
+
+
+def test_mwu_re_tests_a_pruned_matrix_as_a_full_recompute_does() -> None:
+    # A float product's per-row rounding depends on the row count: with these
+    # weights (gamma 0.1) the 4-row product keeps q3 at a near tie, while the
+    # 1-row product of the pruned matrix may drop it. Whatever this platform's
+    # BLAS does, the learner must re-test the pruned matrix on the next step
+    # and agree with the from-scratch reference.
+    rows = [[1, 0, 0, 0, 1, 1, 1, 0], [0, 1, 0, 1, 1, 0, 0, 0],
+            [0, 1, 0, 1, 1, 0, 1, 0], [1, 1, 1, 0, 0, 1, 0, 0]]
+    suite = StubSuite(8)
+    fast = MwuLearner(suite, capacity=2, gamma=0.1)
+    slow = NaiveMwu(suite, gamma=0.1)
+    for i in range(4):
+        suite.set(f"q{i}", [True] * 8)
+        fast.update_memory(f"q{i}", "a")
+        slow.update(f"q{i}", "a")
+    for i, bits in enumerate(rows):
+        suite.set(f"q{i}", bits)
+    errors = [3, 5, 1, 3, 5, 2, 2, 1]
+    for k in range(max(errors)):  # expert e errs on the first errors[e] evaluations
+        suite.set(f"e{k}", [k >= err for err in errors])
+        fast.observe_evaluation(f"e{k}")
+        slow.observe(f"e{k}")
+    assert list(fast.errors) == errors
+    for changed in (None, ()):
+        fast.update_memory("q3", None, changed)
+        slow.update("q3", None)
+        assert fast.memory == slow.memory
+
+
+def play_twins(learner: str, backing: str, n: int, capacity: int, universe: int,
+               length: int, teach: float, seed: int, gamma: float = 0.5) -> None:
+    """Drive two copies of ``learner`` over one stream and one suite, in the
+    harness's phase order: one gets the suite's ``changed``, its twin
+    ``changed=None`` (the full-recompute path). Their memories must agree
+    after every step."""
+    suite = make_suite(backing, n, capacity, universe, seed)
+    if learner == "mwu":
+        fast, full = (MwuLearner(suite, capacity, gamma=gamma) for _ in range(2))
+    else:
+        fast, full = FullSimLearner(suite), FullSimLearner(suite)
+    for step, event in enumerate(random_stream(universe, length, teach, seed)):
+        if event.is_evaluate:
+            know = suite.knows(event.question)
+            fast.observe_evaluation(event.question, know=know)
+            full.observe_evaluation(event.question, know=know)
+        changed = suite.offer(Fact(event.question, event.answer))
+        fast.update_memory(event.question, event.answer, changed)
+        full.update_memory(event.question, event.answer, None)
+        assert fast.memory == full.memory, (learner, backing, step)
+
+
+@given(
+    learner=st.sampled_from(["mwu", "full-sim"]),
+    backing=st.sampled_from(["scripted", "simulation", "threshold"]),
+    length=st.integers(0, 200),
+    n=st.integers(1, 8),
+    capacity=st.integers(1, 4),
+    universe=st.integers(2, 16),
+    teach=st.sampled_from([0.3, 0.5, 0.8]),
+    seed=st.integers(0, 10**6),
+    gamma=st.sampled_from([0.5, 0.3, 0.9]),
+)
+@settings(max_examples=100, deadline=None)
+def test_incremental_memory_phase_matches_full_recompute(
+    learner, backing, length, n, capacity, universe, teach, seed, gamma
+) -> None:
+    play_twins(learner, backing, n, capacity, universe, length, teach, seed, gamma)
+
+
+def test_incremental_memory_phase_matches_full_recompute_on_seeded_streams() -> None:
+    for learner in ("mwu", "full-sim"):
+        for seed, backing in enumerate(("scripted", "simulation", "threshold") * 2):
+            play_twins(learner, backing, 6, 2, 12, 300, 0.5, seed)
+
+
+_full_sim_update = FullSimLearner.update_memory
+
+
+def _mwu_observe_keeping_weights(self, question, know=None):
+    if know is None:
+        know = self.suite.knows(question)
+    self.errors += ~know
+
+
+def _full_sim_ignoring_evictions(self, question, answer, changed=None):
+    if changed is None:
+        return _full_sim_update(self, question, answer, changed)
+    if question in changed and self.suite.knows(question).any():
+        self.memory[question] = answer
+
+
+# One planted fault per incremental path, with the named test that must
+# catch it.
+MEMORY_PHASE_FAULTS = {
+    "mwu keeps its weight cache across an evaluate": (
+        MwuLearner, "observe_evaluation", _mwu_observe_keeping_weights,
+        test_mwu_matches_naive_reference_on_random_streams,
+    ),
+    "full-sim ignores evictions": (
+        FullSimLearner, "update_memory", _full_sim_ignoring_evictions,
+        test_incremental_memory_phase_matches_full_recompute_on_seeded_streams,
+    ),
+}
+
+
+@pytest.mark.parametrize("fault", list(MEMORY_PHASE_FAULTS))
+def test_memory_phase_fault_is_caught(monkeypatch, fault) -> None:
+    target, name, planted, catching_test = MEMORY_PHASE_FAULTS[fault]
+    monkeypatch.setattr(target, name, planted)
+    with pytest.raises(AssertionError):
+        catching_test()
+
+
 class TestLazy:
     def test_bulk_removal_boundary_triggers_at_equality(self) -> None:
         suite = StubSuite(3)

@@ -2,8 +2,9 @@ from __future__ import annotations
 
 import io
 
+import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from factgame.invariants import sequential_scan_reference
 from factgame.model import (
@@ -95,21 +96,67 @@ def test_record_step_rejects_bad_costs() -> None:
         _record(ledger, cost=0, expert_costs=[1, 0, 1])
 
 
+def test_record_step_rejects_bool_costs_of_the_wrong_shape() -> None:
+    ledger = GameLedger(2)
+    for bad in (np.zeros(3, dtype=bool), np.zeros((1, 2), dtype=bool), np.bool_(True)):
+        with pytest.raises(ValueError):
+            _record(ledger, cost=0, expert_costs=bad)
+    assert len(ledger) == 0
+
+
+# The witness (an expert with the fewest mistakes) starts at expert 0. Every
+# step but the fifth charges the current witness; steps 2 and 4 end in ties.
+WITNESS_STEPS = [[1, 0, 0], [0, 1, 1], [1, 1, 0], [0, 0, 1], [0, 0, 0], [1, 0, 1]]
+
+
+def test_record_step_moves_opt_only_when_the_witness_errs() -> None:
+    ledger = GameLedger(3)
+    for expert_costs in WITNESS_STEPS:
+        _record(ledger, cost=0, expert_costs=np.array(expert_costs, dtype=bool), kind=EVALUATE)
+    assert list(ledger.expert_mistakes) == [3, 2, 3]
+    assert ledger.opt_trace == [0, 1, 1, 2, 2, 2]
+
+
 @given(
     st.lists(
-        st.tuples(st.integers(0, 1), st.lists(st.integers(0, 1), min_size=3, max_size=3)),
+        st.tuples(
+            st.integers(0, 1),
+            st.one_of(st.none(), st.lists(st.integers(0, 1), min_size=3, max_size=3)),
+            st.booleans(),
+        ),
         max_size=60,
     )
 )
+@example([(0, c, True) for c in WITNESS_STEPS])
 def test_ledger_running_sums_are_consistent(steps) -> None:
     ledger = GameLedger(3)
-    for cost, expert_costs in steps:
+    totals = np.zeros(3, dtype=np.int64)
+    reference_opt = []  # min of the cumulative expert costs, at every prefix
+    for cost, expert_costs, as_bool in steps:
+        if expert_costs is not None:
+            totals += expert_costs
+            if as_bool:  # suites hand the ledger bool vectors
+                expert_costs = np.array(expert_costs, dtype=bool)
+        reference_opt.append(int(totals.min()))
         _record(ledger, cost=cost, expert_costs=expert_costs, kind=EVALUATE)
-    assert ledger.learner_mistakes == sum(c for c, _ in steps)
+    assert ledger.learner_mistakes == sum(c for c, _, _ in steps)
+    assert list(ledger.expert_mistakes) == list(totals)
+    assert ledger.opt_trace == reference_opt
     # cumulative traces never decrease, and the best expert bounds them all
     assert ledger.learner_trace == sorted(ledger.learner_trace)
     assert ledger.opt_trace == sorted(ledger.opt_trace)
     assert ledger.opt == min(ledger.expert_mistakes)
+
+
+def _refresh_keeping_witness(self) -> None:
+    self._opt = int(self.expert_mistakes[self._witness])
+
+
+def test_stale_witness_is_caught(monkeypatch) -> None:
+    # Planted fault: the ledger never moves its witness off expert 0.
+    monkeypatch.setattr(GameLedger, "_refresh_witness", _refresh_keeping_witness)
+    with pytest.raises(AssertionError):
+        test_record_step_moves_opt_only_when_the_witness_errs()
 
 
 def test_stream_file_roundtrip() -> None:
