@@ -10,11 +10,12 @@ Two families of experts:
   (:class:`SimulatedValueSuite`: each expert's memory is a question -> value
   dict updated in place, with its weakest stored fact tracked, so a first
   show costs one compare per expert and an eviction one ``min`` over M) and a
-  vectorized form that keeps only the shared seen-set plus each expert's
-  running retention cutoff (:class:`ThresholdValueSuite`, over the table
-  itself). Membership answers must agree; the test suite checks this
-  exhaustively at small scale, and replays the pure per-expert rule
-  (:func:`vb_offer`) against the simulation.
+  vectorized form over the table itself (:class:`ThresholdValueSuite`: the
+  shared seen-set, each expert's top-M seen values and their columns in an
+  unsorted ``N x M`` array with the slot of its smallest one, and the
+  retention cutoff vector). Membership answers and returned changes must
+  agree; the test suite checks this exhaustively at small scale, and replays
+  the pure per-expert rule (:func:`vb_offer`) against the simulation.
 
 * **Scripted** experts follow deterministic stream-order policies (recency,
   first-seen, stride). Policies depend only on the stream, never on expert
@@ -30,7 +31,11 @@ timing is the caller's contract):
   ``active`` store q; ``token`` names the mask's version, so a suite may
   cache per-mask aggregates between calls with an equal token;
 * ``offer(fact)``: show one fact to every expert; returns the questions whose
-  membership moved, or None when any membership may have moved. A value
+  membership moved, each once, and ``()`` when none moved. Every suite here
+  returns such a tuple (a value suite names the newcomer first, then each
+  evicted question in the order of the first expert evicting it); only a
+  caller-supplied suite may return None, meaning any membership may have
+  moved, and learners then recompute their memory phase in full. A value
   suite raises KeyError for a question outside an expert's declared values.
 
 Expert-suite files list one value per line: ``expert <id> value <qid> <nat>``.
@@ -350,7 +355,7 @@ class SimulatedValueSuite:
             "the pair is illegal to query"
         )
 
-    def offer(self, fact: Fact) -> tuple[QuestionId, ...] | None:
+    def offer(self, fact: Fact) -> tuple[QuestionId, ...]:
         q = fact.question
         stored = self._answers.get(q, fact.answer)
         if stored != fact.answer and any(q in memory for memory in self._memory):
@@ -360,7 +365,8 @@ class SimulatedValueSuite:
             )
         capacity = self.capacity
         weakest = self._weakest  # None while a memory is under capacity
-        changed: set[QuestionId] = set()
+        kept = False
+        evicted: dict[QuestionId, None] = {}  # in the order of the first evicting expert
         for e, (values, memory) in enumerate(zip(self._values, self._memory)):
             try:
                 value = values[q]
@@ -374,20 +380,21 @@ class SimulatedValueSuite:
                     continue
                 del memory[w]
                 memory[q] = value
-                changed.add(w)
+                evicted[w] = None
             elif q in memory:
                 continue
             else:
                 memory[q] = value
                 if len(memory) < capacity:
-                    changed.add(q)
+                    kept = True
                     continue
-            changed.add(q)
+            kept = True
             w = weakest[e] = min(memory, key=memory.__getitem__)
             self._cutoffs[e] = memory[w]
-        if changed:
-            self._answers[q] = fact.answer
-        return tuple(changed)
+        if not kept:
+            return ()
+        self._answers[q] = fact.answer
+        return (q, *evicted)
 
     def knows_one(self, expert: int, question: QuestionId) -> bool:
         if question not in self._values[expert]:
@@ -428,9 +435,14 @@ class ThresholdValueSuite:
     """Vectorized value-based suite over a :class:`ValueTable`.
 
     Holds the table by reference, the shared seen-mask, and each expert's
-    running top-``capacity`` seen values (ascending; column 0 is the
-    retention cutoff, 0 while under-full). Membership is
-    ``seen(q) and value(e, q) >= cutoff(e)``.
+    top-``capacity`` seen values, unsorted, in one ``N x capacity`` array,
+    with the column stored in each slot (-1 while empty), the slot of each
+    row's smallest value and the cutoff vector (that smallest value, 0 while
+    under-full). Membership is ``seen(q) and value(e, q) >= cutoff(e)``.
+
+    A first show is kept by exactly the rows whose cutoff it beats; each
+    writes the newcomer over its smallest slot, so the evicted column is the
+    one that slot held, and only those rows look for their new smallest slot.
     """
 
     backing = "threshold"
@@ -442,13 +454,16 @@ class ThresholdValueSuite:
         self._column = table.column
         self._seen = np.zeros(self.values.shape[1], dtype=bool)
         self._top = np.zeros((table.n, capacity), dtype=np.int64)
+        self._slot_col = np.full((table.n, capacity), -1, dtype=np.int64)
+        self._low = np.zeros(table.n, dtype=np.int64)  # slot of each row's cutoff
+        self._cut = np.zeros(table.n, dtype=np.int64)
         self._answers: dict[int, Answer] = {}
 
     @property
     def n(self) -> int:
         return self.values.shape[0]
 
-    def offer(self, fact: Fact) -> tuple[QuestionId, ...] | None:
+    def offer(self, fact: Fact) -> tuple[QuestionId, ...]:
         col = self._column(fact.question)
         if self._seen[col]:
             if self._answers[col] != fact.answer:
@@ -460,42 +475,48 @@ class ThresholdValueSuite:
         self._seen[col] = True
         self._answers[col] = fact.answer
         v = self.values[:, col]
-        improves = v > self._top[:, 0]
-        if improves.any():
-            block = self._top[improves]
-            block[:, 0] = v[improves]
-            block.sort(axis=1)
-            self._top[improves] = block
-        # First shows can raise cutoffs and so evict unknown other questions.
-        return None
+        rows = np.flatnonzero(v > self._cut)
+        if not rows.size:
+            return ()
+        slots = self._low[rows]
+        evicted = self._slot_col[rows, slots]
+        self._top[rows, slots] = v[rows]
+        self._slot_col[rows, slots] = col
+        top = self._top[rows]
+        low = self._low[rows] = top.argmin(axis=1)
+        self._cut[rows] = top[np.arange(rows.size), low]
+        # Each evicted column once, in the order of the first row evicting it.
+        universe = self.table.universe
+        evicted = dict.fromkeys(evicted[evicted >= 0].tolist())
+        return (fact.question, *[universe[c] for c in evicted])
 
     def knows(self, question: QuestionId) -> np.ndarray:
         col = self._column(question)
         if not self._seen[col]:
             return np.zeros(self.n, dtype=bool)
-        return self.values[:, col] >= self._top[:, 0]
+        return self.values[:, col] >= self._cut
 
     def knows_many(self, questions: Sequence[QuestionId]) -> np.ndarray:
         cols = np.fromiter(
             (self._column(q) for q in questions), dtype=np.int64, count=len(questions)
         )
-        member = self.values[:, cols] >= self._top[:, :1]
+        member = self.values[:, cols] >= self._cut[:, None]
         return member.T & self._seen[cols][:, None]
 
     def count_active(self, question: QuestionId, active: np.ndarray, token: object = None) -> int:
         col = self._column(question)
         if not self._seen[col]:
             return 0
-        return int(((self.values[:, col] >= self._top[:, 0]) & active).sum())
+        return int(((self.values[:, col] >= self._cut) & active).sum())
 
     def true_thresholds(self) -> np.ndarray:
-        return self._top[:, 0].copy()
+        return self._cut.copy()
 
     def union_memory(self) -> set[Fact]:
         seen_cols = np.flatnonzero(self._seen)
         if not seen_cols.size:
             return set()
-        anyone = (self.values[:, seen_cols] >= self._top[:, :1]).any(axis=0)
+        anyone = (self.values[:, seen_cols] >= self._cut[:, None]).any(axis=0)
         universe = self.table.universe
         return {Fact(universe[c], self._answers[c]) for c in seen_cols[anyone]}
 
@@ -522,16 +543,16 @@ class ScriptedSuite:
     def n(self) -> int:
         return len(self.expert_policy)
 
-    def offer(self, fact: Fact) -> tuple[QuestionId, ...] | None:
-        changed = None
+    def offer(self, fact: Fact) -> tuple[QuestionId, ...]:
+        changed: tuple[QuestionId, ...] = ()
         for policy in self.policies:
             delta = policy.offer(fact)
             if delta:
-                if changed is None:
-                    changed = list(delta)
-                else:
-                    changed.extend(delta)
-        return changed if changed is not None else ()
+                # Policies sharing a newcomer or an evictee name it once.
+                changed = delta if not changed else changed + tuple(
+                    q for q in delta if q not in changed
+                )
+        return changed
 
     def knows(self, question: QuestionId) -> np.ndarray:
         bits = np.fromiter(

@@ -20,7 +20,7 @@ import numpy as np
 from . import adversaries as adv
 from . import experts as exp
 from .experts import SENTINEL_VALUE, ValueFunction, vb_offer, vb_true_threshold
-from .harness import RunConfig, run_game
+from .harness import BudgetViolationError, RunConfig, run_game
 from .model import EVALUATE, TEACH, Event, Fact, QuestionId, validate_sequential
 
 # --- references ---------------------------------------------------------------
@@ -108,10 +108,12 @@ def check_top_m_replay(seed: int, rounds: int) -> tuple[bool, str]:
 def check_backings_agree(seed: int, rounds: int) -> tuple[bool, str]:
     """Random suites over universes up to 20 questions, N up to 6 and
     capacities up to 5, fed 1-39 offers of which 40 % re-offer a taught fact:
-    ``knows_many`` and ``true_thresholds`` agree after every offer, every
-    question whose ``knows_many`` row moved is in the simulation's returned
-    set (learners recount only those), and per-probe ``knows`` agrees after
-    each round's last offer."""
+    ``knows_many`` and ``true_thresholds`` agree after every offer, and
+    per-probe ``knows`` agrees after each round's last offer. Each backing's
+    ``offer`` names every question whose ``knows_many`` row moved (learners
+    recount only those), names none twice, and returns ``()`` exactly when no
+    row moved (the soundness refresh and the tracer's change ratio read
+    that)."""
     rng = random.Random(seed)
     steps = 0
     for _ in range(rounds):
@@ -130,14 +132,25 @@ def check_backings_agree(seed: int, rounds: int) -> tuple[bool, str]:
                 q = rng.choice(qs)
                 taught.append(q)
             fact = Fact(q, f"a-{q}")
-            changed = set(sim.offer(fact))
-            thr.offer(fact)
+            returned = {"simulation": sim.offer(fact), "threshold": thr.offer(fact)}
             steps += 1
             after = sim.knows_many(qs)
             moved = {p for p, row in zip(qs, before != after) if row.any()}
-            if not moved <= changed:
-                return False, f"offer left {sorted(moved - changed)} out after teaching {taught}"
             before = after
+            for backing, changed in returned.items():
+                named = set(changed or ())
+                if changed is None or len(named) != len(changed):
+                    return False, f"{backing} offer returned {changed} after teaching {taught}"
+                if not moved <= named:
+                    return False, (
+                        f"{backing} offer left {sorted(moved - named)} out "
+                        f"after teaching {taught}"
+                    )
+                if (changed == ()) != (not moved):
+                    return False, (
+                        f"{backing} offer returned {changed} when {sorted(moved)} "
+                        f"moved, after teaching {taught}"
+                    )
             if not np.array_equal(after, thr.knows_many(qs)):
                 return False, f"knows_many disagrees after teaching {taught}"
             if not np.array_equal(sim.true_thresholds(), thr.true_thresholds()):
@@ -183,7 +196,8 @@ def forced_floor_failures(
     stored again only at its own evaluate, after its cost. Some surviving
     expert must make at most ``opt``, and the learner's reported fact cap
     must be c*M. A ``PigeonholeError`` (the learner holds more facts than the
-    instance targets) is a failure too.
+    instance targets) and a ``BudgetViolationError`` (more than it declares)
+    are failures too.
     """
     failures = []
     for n, capacity, opt in cases:
@@ -193,7 +207,7 @@ def forced_floor_failures(
         config = RunConfig(learner=learner, adversary=adversary, capacity=capacity, seed=seed)
         try:
             ledger, report = run_game(config)
-        except adv.PigeonholeError as err:
+        except (adv.PigeonholeError, BudgetViolationError) as err:
             failures.append(f"{where}: {err}")
             continue
         if report.params["fact_cap"] != c * capacity:
@@ -242,7 +256,11 @@ def _check_run_bounds(seed: int, quick: bool) -> tuple[bool, str]:
             seed=seed,
             verify_soundness=(learner == "value-lazy"),
         )
-        _, report = run_game(config)
+        try:
+            _, report = run_game(config)
+        except BudgetViolationError as err:
+            failures.append(f"{learner}/{experts}: {err}")
+            continue
         if not report.passed:
             failed = [c.name for c in report.checks if c.gating and not c.passed]
             failures.append(f"{learner}/{experts}: {failed}")

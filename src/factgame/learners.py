@@ -87,8 +87,10 @@ class MwuLearner(Learner):
     order, a memo of suite answers refreshed through the ``changed``
     contract: one suite call per step over the changed stored questions
     plus a newly stored fact (``knows`` for one question, ``knows_many`` for
-    more), and ``knows_many`` over every stored fact when ``changed`` is
-    None. The memo is not learner state, so ``aux_state_count`` omits it.
+    more). Every built-in suite names each moved question once, on every
+    backing; only a suite returning ``changed=None`` costs ``knows_many`` over
+    every stored fact. The memo is not learner state, so ``aux_state_count``
+    omits it.
     The weights and the half-weight threshold are cached until the next
     evaluation. A step that changes neither the weights nor the matrix, after
     a test that kept every row, re-tests nothing: the product would come out
@@ -160,7 +162,7 @@ class MwuLearner(Learner):
             self._refresh_all()
         else:
             row = self._row
-            stale = [q for q in dict.fromkeys(changed) if q in row]
+            stale = [q for q in changed if q in row]
             if joined:
                 self._reserve(len(memory))
                 row[question] = len(row)
@@ -221,8 +223,9 @@ class LazyLearner(_ActiveSetLearner):
     Error counts range over every expert, active or not; only active experts
     are candidates for deactivation, and only active experts vote on which
     stored facts survive. Saver counts per stored fact are cached and
-    recounted only for facts whose membership moved, or for all of them
-    after an active-set change.
+    recounted only for facts whose membership moved (the suite's
+    ``changed``, on every built-in backing) and for the step's new fact, or
+    for all of them after an active-set change or when ``changed`` is None.
     """
 
     name = "lazy"
@@ -491,8 +494,9 @@ class FullSimLearner(Learner):
 
     The union moves only through ``changed``: one ``knows_many`` call over
     those questions, where a question some expert holds joins (only the
-    step's fact can newly join) and one nobody holds leaves. The union is
-    rebuilt from ``union_memory()`` only when ``changed`` is None.
+    step's fact can newly join) and one nobody holds leaves. Every built-in
+    suite names what moved, so the union is rebuilt from ``union_memory()``
+    only for a suite that returns ``changed=None``.
     """
 
     name = "full-sim"

@@ -197,6 +197,39 @@ def test_simulated_suite_matches_the_per_expert_reference(n, m, size, picks, see
         assert suite.true_thresholds().tolist() == [vb_true_threshold(s) for s in states]
 
 
+def test_value_offers_name_the_newcomer_then_each_evictee_in_expert_order() -> None:
+    """Both value backings return what an offer moved in one order: the
+    newcomer if any expert kept it, then each evicted question once, in the
+    order of the first expert by index to evict it (a ``vb_offer`` replay)."""
+    rng = random.Random(17)
+    shared_evictees = 0
+    for _ in range(60):
+        universe = [f"q{i}" for i in range(rng.randrange(2, 16))]
+        n, m = rng.randrange(1, 7), rng.randrange(1, 4)
+        table = random_value_suite(n, universe, rng.randrange(10**9))
+        value_functions = table.value_functions()
+        suites = [ThresholdValueSuite(table, m), SimulatedValueSuite(value_functions, m)]
+        states = [ValueBasedExpertState(values, m) for values in value_functions]
+        for _ in range(30):
+            q = rng.choice(universe)
+            after = [vb_offer(state, fact(q)) for state in states]
+            kept = any(
+                q in new.stored_questions() and q not in old.stored_questions()
+                for old, new in zip(states, after)
+            )
+            evicted = [
+                gone
+                for old, new in zip(states, after)
+                for gone in old.stored_questions() - new.stored_questions()
+            ]
+            shared_evictees += len(evicted) - len(set(evicted))
+            expected = ((q,) if kept else ()) + tuple(dict.fromkeys(evicted))
+            states = after
+            for suite in suites:
+                assert suite.offer(fact(q)) == expected, suite.backing
+    assert shared_evictees  # some offer evicted one question from several experts
+
+
 def test_true_mistake_update_examples() -> None:
     vfs = [vf(q1=2, q2=1), vf(q1=1, q2=2), vf(q1=3, q2=1)]
     suite = SimulatedValueSuite(vfs, capacity=1)

@@ -200,11 +200,13 @@ def play_twins(learner: str, backing: str, n: int, capacity: int, universe: int,
                length: int, teach: float, seed: int, gamma: float = 0.5) -> None:
     """Drive two copies of ``learner`` over one stream and one suite, in the
     harness's phase order: one gets the suite's ``changed``, its twin
-    ``changed=None`` (the full-recompute path). Their memories must agree
-    after every step."""
+    ``changed=None`` (the full-recompute path). Their memories, and ``lazy``'s
+    saver counts, must agree after every step."""
     suite = make_suite(backing, n, capacity, universe, seed)
     if learner == "mwu":
         fast, full = (MwuLearner(suite, capacity, gamma=gamma) for _ in range(2))
+    elif learner == "lazy":
+        fast, full = LazyLearner(suite, capacity), LazyLearner(suite, capacity)
     else:
         fast, full = FullSimLearner(suite), FullSimLearner(suite)
     for step, event in enumerate(random_stream(universe, length, teach, seed)):
@@ -216,10 +218,12 @@ def play_twins(learner: str, backing: str, n: int, capacity: int, universe: int,
         fast.update_memory(event.question, event.answer, changed)
         full.update_memory(event.question, event.answer, None)
         assert fast.memory == full.memory, (learner, backing, step)
+        if learner == "lazy":
+            assert fast._counts == full._counts, (learner, backing, step)
 
 
 @given(
-    learner=st.sampled_from(["mwu", "full-sim"]),
+    learner=st.sampled_from(["mwu", "lazy", "full-sim"]),
     backing=st.sampled_from(["scripted", "simulation", "threshold"]),
     length=st.integers(0, 200),
     n=st.integers(1, 8),
@@ -237,12 +241,13 @@ def test_incremental_memory_phase_matches_full_recompute(
 
 
 def test_incremental_memory_phase_matches_full_recompute_on_seeded_streams() -> None:
-    for learner in ("mwu", "full-sim"):
+    for learner in ("mwu", "lazy", "full-sim"):
         for seed, backing in enumerate(("scripted", "simulation", "threshold") * 2):
             play_twins(learner, backing, 6, 2, 12, 300, 0.5, seed)
 
 
 _full_sim_update = FullSimLearner.update_memory
+_lazy_update = LazyLearner.update_memory
 
 
 def _mwu_observe_keeping_weights(self, question, know=None):
@@ -258,6 +263,10 @@ def _full_sim_ignoring_evictions(self, question, answer, changed=None):
         self.memory[question] = answer
 
 
+def _lazy_ignoring_evictions(self, question, answer, changed=None):
+    _lazy_update(self, question, answer, None if changed is None else ())
+
+
 # One planted fault per incremental path, with the named test that must
 # catch it.
 MEMORY_PHASE_FAULTS = {
@@ -267,6 +276,10 @@ MEMORY_PHASE_FAULTS = {
     ),
     "full-sim ignores evictions": (
         FullSimLearner, "update_memory", _full_sim_ignoring_evictions,
+        test_incremental_memory_phase_matches_full_recompute_on_seeded_streams,
+    ),
+    "lazy recounts only the step's fact": (
+        LazyLearner, "update_memory", _lazy_ignoring_evictions,
         test_incremental_memory_phase_matches_full_recompute_on_seeded_streams,
     ),
 }
