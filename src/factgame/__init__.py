@@ -18,14 +18,11 @@ from .experts import (
     ScriptedSuite,
     SimulatedValueSuite,
     ThresholdValueSuite,
-    ValueBasedExpertState,
     ValueFunction,
     ValueTable,
     build_scripted_suite,
     load_expert_suite,
     random_value_suite,
-    vb_offer,
-    vb_true_threshold,
 )
 from .harness import (
     BoundCheck,

@@ -14,8 +14,10 @@ Two families of experts:
   shared seen-set, each expert's top-M seen values and their columns in an
   unsorted ``N x M`` array with the slot of its smallest one, and the
   retention cutoff vector). Membership answers and returned changes must
-  agree; the test suite checks this exhaustively at small scale, and replays
-  the pure per-expert rule (:func:`vb_offer`) against the simulation.
+  agree; the test suite checks this exhaustively at small scale. The
+  top-M rule itself is checked on the simulation: the replay checks in
+  :mod:`factgame.invariants` play :class:`SimulatedValueSuite` (N=1 for a
+  single expert) against the sort-based ``top_m_replay`` and ``kth_largest``.
 
 * **Scripted** experts follow deterministic stream-order policies (recency,
   first-seen, stride). Policies depend only on the stream, never on expert
@@ -78,13 +80,6 @@ class ValueFunction:
             return self.values[question]
         except KeyError:
             raise KeyError(f"value function undefined on question {question!r}") from None
-
-    def __contains__(self, question: QuestionId) -> bool:
-        return question in self.values
-
-    @property
-    def domain(self) -> frozenset[QuestionId]:
-        return frozenset(self.values)
 
     @classmethod
     def _trusted(cls, values: Mapping[QuestionId, int]) -> "ValueFunction":
@@ -185,62 +180,6 @@ class ValueTable:
         return [self.value_function(e) for e in range(self.n)]
 
 
-@dataclass(frozen=True)
-class ValueBasedExpertState:
-    """Explicit memory of a value-based expert: the top-``capacity`` facts
-    seen so far, maintained by insert-or-evict."""
-
-    values: ValueFunction
-    capacity: int
-    memory: frozenset[Fact] = frozenset()
-
-    def __post_init__(self) -> None:
-        if self.capacity < 1:
-            raise ValueError("capacity must be >= 1")
-
-    def stored_questions(self) -> frozenset[QuestionId]:
-        return frozenset(f.question for f in self.memory)
-
-
-def vb_offer(state: ValueBasedExpertState, fact: Fact) -> ValueBasedExpertState:
-    """Offer one fact for storage; returns the successor state.
-
-    Keeps the highest-valued facts: while under capacity everything is
-    stored, afterwards the newcomer evicts the minimum-valued stored fact
-    iff it outranks it. Re-offering a stored fact is a no-op; re-offering a
-    stored question with a different answer is rejected.
-    """
-    value = state.values[fact.question]
-    for stored in state.memory:
-        if stored.question == fact.question:
-            if stored.answer != fact.answer:
-                raise ValueError(
-                    f"conflicting answer for {fact.question!r}: "
-                    f"stored {stored.answer!r}, offered {fact.answer!r}"
-                )
-            return state
-    if len(state.memory) < state.capacity:
-        return ValueBasedExpertState(state.values, state.capacity, state.memory | {fact})
-    weakest = min(state.memory, key=lambda f: state.values[f.question])
-    if value > state.values[weakest.question]:
-        return ValueBasedExpertState(
-            state.values, state.capacity, (state.memory - {weakest}) | {fact}
-        )
-    return state
-
-
-def vb_true_threshold(state: ValueBasedExpertState) -> int:
-    """The retention cutoff: the capacity-th largest value among questions
-    shown so far, or the sentinel 0 while fewer have been seen.
-
-    Because memory always holds exactly the top-``capacity`` seen facts, the
-    cutoff equals the minimum stored value once memory is full.
-    """
-    if len(state.memory) < state.capacity:
-        return SENTINEL_VALUE
-    return min(state.values[f.question] for f in state.memory)
-
-
 class ScriptedPolicy:
     """Deterministic retention rule over at most ``capacity`` facts.
 
@@ -326,8 +265,9 @@ class SimulatedValueSuite:
     dict for the facts any expert has stored. A newcomer costs one value
     lookup and one compare per expert; the weakest fact is searched for
     again (a ``min`` over M entries) only on an eviction or when a memory
-    first fills. The pure per-expert rule is :func:`vb_offer`, which the
-    tests replay against this suite.
+    first fills. This is the one eviction-based copy of the top-M rule: the
+    replay checks and the criteria play it, one expert or a panel at a
+    time, against the sort-based references in :mod:`factgame.invariants`.
     """
 
     backing = "simulation"
@@ -395,11 +335,6 @@ class SimulatedValueSuite:
             return ()
         self._answers[q] = fact.answer
         return (q, *evicted)
-
-    def knows_one(self, expert: int, question: QuestionId) -> bool:
-        if question not in self._values[expert]:
-            raise self._undeclared(expert, question)
-        return question in self._memory[expert]
 
     def _check_declared(self, question: QuestionId) -> None:
         # A vector query touches every (expert, question) pair, so every

@@ -7,6 +7,11 @@ returns ``(ok, detail)``: a value-based expert keeps the top-M facts by value,
 set holds at most 2M facts, the simulation and threshold oracle backings give
 the same answers, and the lower-bound construction forces its mistake floor.
 The acceptance suite and the unit tests call these same functions.
+
+The top-M references (``top_m_replay``, ``kth_largest``) sort what was
+shown; the replay check plays the runtime simulation backing,
+:class:`~factgame.experts.SimulatedValueSuite`, one expert at a time
+against them.
 """
 
 from __future__ import annotations
@@ -19,7 +24,7 @@ import numpy as np
 
 from . import adversaries as adv
 from . import experts as exp
-from .experts import SENTINEL_VALUE, ValueFunction, vb_offer, vb_true_threshold
+from .experts import SENTINEL_VALUE, ValueFunction
 from .harness import BudgetViolationError, RunConfig, run_game
 from .model import EVALUATE, TEACH, Event, Fact, QuestionId, validate_sequential
 
@@ -81,27 +86,31 @@ def check_sequential_scan(seed: int, rounds: int) -> tuple[bool, str]:
 
 def check_top_m_replay(seed: int, rounds: int) -> tuple[bool, str]:
     """Random universes up to 20 questions, capacities up to 5 and up to 39
-    offers with re-offers: after every offer the memory is the top-M replay
-    and the cutoff has not moved down."""
+    offers with re-offers, each played on a one-expert simulation suite:
+    after every offer the memory is the top-M replay and the cutoff is the
+    M-th largest value shown."""
     rng = random.Random(seed)
     steps = 0
     for _ in range(rounds):
         qs = [f"q{i}" for i in range(rng.randrange(2, 21))]
         capacity = rng.randrange(1, 6)
-        values = exp.random_value_suite(1, qs, rng.randrange(10**9)).value_function(0)
-        state = exp.ValueBasedExpertState(values, capacity)
+        table = exp.random_value_suite(1, qs, rng.randrange(10**9))
+        values = table.value_function(0)
+        suite = exp.SimulatedValueSuite([values], capacity)
         offered: list[QuestionId] = []
-        cutoff = 0
         for _ in range(rng.randrange(1, 40)):
             q = rng.choice(qs)
-            state = vb_offer(state, Fact(q, f"a-{q}"))
+            suite.offer(Fact(q, f"a-{q}"))
             offered.append(q)
             steps += 1
-            if state.stored_questions() != top_m_replay(offered, values, capacity):
+            member = suite.knows_many(table.universe)[:, 0]
+            stored = {p for p, bit in zip(table.universe, member) if bit}
+            if stored != top_m_replay(offered, values, capacity):
                 return False, f"memory after offers {offered} diverged from top-{capacity} replay"
-            previous, cutoff = cutoff, vb_true_threshold(state)
-            if cutoff < previous:
-                return False, f"cutoff moved down from {previous} to {cutoff} after offers {offered}"
+            cutoff = int(suite.true_thresholds()[0])
+            expected = kth_largest({values[p] for p in offered}, capacity)
+            if cutoff != expected:
+                return False, f"cutoff {cutoff}, not {expected}, after offers {offered}"
     return True, f"{rounds} random offer sequences, {steps} steps"
 
 

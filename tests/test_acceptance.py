@@ -15,6 +15,7 @@ failure.
 
 from __future__ import annotations
 
+import copy
 import itertools
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -22,7 +23,7 @@ from concurrent.futures import ProcessPoolExecutor
 import pytest
 
 from factgame.adversaries import random_stream
-from factgame.experts import ValueBasedExpertState, ValueFunction, vb_offer
+from factgame.experts import SimulatedValueSuite, ThresholdValueSuite, ValueTable
 from factgame.harness import RunConfig, run_game
 from factgame.invariants import (
     check_backings_agree,
@@ -216,48 +217,56 @@ def test_criterion_4_threshold_soundness(value_sweep) -> None:
     assert not bad, f"soundness violated in: {bad[:3]}"
 
 
-def _threshold_answers(vfs, seen, capacity):
+def _threshold_answers(table, seen, capacity):
     """Reference oracle: membership iff seen and valued at or above the
     capacity-th largest seen value (recomputed by sorting, independent of the
-    eviction-based route)."""
+    eviction-based route); one row per expert, columns in universe order."""
     out = []
-    for vf in vfs:
+    for row in table.values.tolist():
+        vf = dict(zip(table.universe, row))
         cutoff = kth_largest([vf[q] for q in seen], capacity)
-        out.append(tuple(q in seen and vf[q] >= cutoff for q in sorted(vf.domain)))
+        out.append(tuple(q in seen and vf[q] >= cutoff for q in table.universe))
     return tuple(out)
 
 
-def _sim_answers(states):
-    return tuple(
-        tuple(q in s.stored_questions() for q in sorted(s.values.domain))
-        for s in states
-    )
+def _suite_answers(suite, universe):
+    """What a suite answers: its membership rows, one per expert."""
+    return tuple(map(tuple, suite.knows_many(universe).T.tolist()))
 
 
 def test_criterion_5_oracle_equivalence() -> None:
     # Exhaustive over every stream of length <= 8 on a 3-question universe,
-    # with six experts covering all value orderings. Offers are pure, so two
-    # prefixes reaching the same (memories, seen) state have identical
-    # subtrees; memoizing on that state walks the full 6^8 event tree while
-    # comparing each distinct reachable state once per depth. Teach children
-    # mutate state; evaluate children re-offer a seen fact, which is asserted
-    # to be a no-op, and continue on the unchanged state.
+    # with six experts covering all value orderings, played on both runtime
+    # backings at once. Two prefixes on which the suites answer alike (the
+    # seen set, every membership bit and every cutoff) have identical
+    # subtrees; memoizing on those answers walks the full 6^8 event tree
+    # while comparing each distinct reachable state once per depth. A bad
+    # suite that answers differently after the same seen set is walked down
+    # each of its paths. Teach children offer to a copy of the suites;
+    # evaluate children re-offer a seen fact, which is asserted to return
+    # () and move no answer, and continue on the same suites.
     universe = ("q0", "q1", "q2")
-    vfs = [
-        ValueFunction(dict(zip(universe, perm)))
-        for perm in itertools.permutations((1, 2, 3))
-    ]
+    table = ValueTable(universe, list(itertools.permutations((1, 2, 3))))
     checked = 0
+
+    def answers(suites):
+        return tuple(
+            (_suite_answers(s, universe), tuple(s.true_thresholds().tolist()))
+            for s in suites
+        )
+
     for capacity in (1, 2, 3):
         verified: dict[tuple, int] = {}
 
-        def compare(states, seen) -> None:
+        def compare(suites, seen) -> None:
             nonlocal checked
-            assert _sim_answers(states) == _threshold_answers(vfs, seen, capacity)
+            expected = _threshold_answers(table, seen, capacity)
+            for suite in suites:
+                assert _suite_answers(suite, universe) == expected, suite.backing
             checked += 1
 
-        def walk(states, seen, depth) -> None:
-            key = (tuple(s.memory for s in states), seen)
+        def walk(suites, seen, depth) -> None:
+            key = (seen, answers(suites))
             if verified.get(key, -1) >= depth:
                 return
             verified[key] = depth
@@ -265,16 +274,22 @@ def test_criterion_5_oracle_equivalence() -> None:
                 return
             for q in universe:
                 fact = Fact(q, f"a-{q}")
-                taught = tuple(vb_offer(s, fact) for s in states)
+                taught = copy.deepcopy(suites)
+                for suite in taught:
+                    suite.offer(fact)
                 compare(taught, seen | {q})
                 walk(taught, seen | {q}, depth - 1)
                 if q in seen:  # evaluating a taught question re-offers its fact
-                    again = tuple(vb_offer(s, fact) for s in states)
-                    assert all(a is s for a, s in zip(again, states))
-                compare(states, seen)
-                walk(states, seen, depth - 1)
+                    before = answers(suites)
+                    assert all(suite.offer(fact) == () for suite in suites)
+                    assert answers(suites) == before
+                compare(suites, seen)
+                walk(suites, seen, depth - 1)
 
-        start = tuple(ValueBasedExpertState(vf, capacity) for vf in vfs)
+        start = (
+            SimulatedValueSuite(table.value_functions(), capacity),
+            ThresholdValueSuite(table, capacity),
+        )
         compare(start, frozenset())
         walk(start, frozenset(), 8)
 
@@ -325,18 +340,22 @@ def test_criterion_7_majority_kept_set_cap() -> None:
 
 def test_criterion_8_value_expert_semantics() -> None:
     # Exhaustive: all teach orders over a 5-question universe, every prefix,
-    # against the sort-based replay oracle.
+    # played on a one-expert simulation suite against the sort-based replay
+    # oracle.
     questions = [f"q{i}" for i in range(5)]
+    table = ValueTable(questions, [[1, 3, 5, 7, 9]])
+    values = table.value_function(0)
     exhaustive_checked = 0
     for capacity in (1, 2, 3, 4, 5):
-        values = ValueFunction({q: 2 * i + 1 for i, q in enumerate(questions)})
         for order in itertools.permutations(questions):
-            state = ValueBasedExpertState(values, capacity)
+            suite = SimulatedValueSuite([values], capacity)
             offered: list[str] = []
             for q in order:
-                state = vb_offer(state, Fact(q, "a"))
+                suite.offer(Fact(q, "a"))
                 offered.append(q)
-                assert state.stored_questions() == top_m_replay(offered, values, capacity)
+                member = suite.knows_many(questions)[:, 0]
+                stored = {p for p, bit in zip(questions, member) if bit}
+                assert stored == top_m_replay(offered, values, capacity)
                 exhaustive_checked += 1
     ok, detail = check_top_m_replay(seed=88, rounds=2_000)
     _report(

@@ -12,7 +12,7 @@ from factgame.adversaries import (
     build_lower_bound_instance,
     random_stream,
 )
-from factgame.experts import ValueBasedExpertState, vb_offer
+from factgame.experts import SimulatedValueSuite
 from factgame.harness import RunConfig, build_adversary, build_learner, build_suite, run_game
 from factgame.invariants import forced_floor_failures
 from factgame.model import dump_stream, validate_sequential
@@ -115,13 +115,15 @@ class TestLowerBoundInstance:
 
     def test_expert_holds_exactly_its_block_after_each_collection(self) -> None:
         inst = build_lower_bound_instance(c=1, n_experts=8, capacity=2, opt=0)
-        for e, coords in enumerate(inst.leaf_coords):
-            state = ValueBasedExpertState(inst.table.value_function(e), inst.capacity)
-            for k in range(1, inst.depth + 1):
-                for fact in inst.collections[k - 1]:
-                    state = vb_offer(state, fact)
-                expected = {f.question for f in inst.block(k, coords[k - 1])}
-                assert state.stored_questions() == expected
+        suite = SimulatedValueSuite(inst.table.value_functions(), inst.capacity)
+        universe = inst.table.universe
+        for k in range(1, inst.depth + 1):
+            for fact in inst.collections[k - 1]:
+                suite.offer(fact)
+            member = suite.knows_many(universe)
+            for e, coords in enumerate(inst.leaf_coords):
+                held = {q for q, bit in zip(universe, member[:, e]) if bit}
+                assert held == {f.question for f in inst.block(k, coords[k - 1])}
 
     @pytest.mark.parametrize(
         "c,n,capacity,opt",

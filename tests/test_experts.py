@@ -14,18 +14,15 @@ from factgame.experts import (
     SimulatedValueSuite,
     StridePolicy,
     ThresholdValueSuite,
-    ValueBasedExpertState,
     ValueFunction,
     ValueTable,
     build_scripted_suite,
     dump_expert_suite,
     load_expert_suite,
     random_value_suite,
-    vb_offer,
-    vb_true_threshold,
 )
 from factgame.harness import RunConfig, build_adversary, build_learner, build_suite
-from factgame.invariants import top_m_replay
+from factgame.invariants import kth_largest, top_m_replay
 from factgame.model import Fact
 
 
@@ -53,70 +50,47 @@ class TestValueFunction:
             vf(a=1)["b"]
 
 
+def stored(suite: SimulatedValueSuite, questions: str) -> set[str]:
+    """The questions of ``questions`` (space-separated) that the first expert
+    of ``suite`` stores."""
+    return {q for q in questions.split() if suite.knows(q)[0]}
+
+
 class TestValueBasedExpert:
+    """Worked examples of the top-M rule on a one-expert simulation suite."""
+
     def test_keeps_highest_valued(self) -> None:
-        values = vf(q5=5, q3=3, q7=7)
-        state = ValueBasedExpertState(values, capacity=2)
+        suite = SimulatedValueSuite([vf(q5=5, q3=3, q7=7)], capacity=2)
         for q in ("q5", "q3", "q7"):
-            state = vb_offer(state, fact(q))
-        assert state.stored_questions() == {"q5", "q7"}
+            suite.offer(fact(q))
+        assert stored(suite, "q5 q3 q7") == {"q5", "q7"}
 
     def test_reoffer_is_a_noop(self) -> None:
-        state = ValueBasedExpertState(vf(q4=4), capacity=1)
-        state = vb_offer(state, fact("q4"))
-        again = vb_offer(state, fact("q4"))
-        assert again is state
-        assert again.stored_questions() == {"q4"}
+        suite = SimulatedValueSuite([vf(q4=4)], capacity=1)
+        assert suite.offer(fact("q4")) == ("q4",)
+        assert suite.offer(fact("q4")) == ()
+        assert stored(suite, "q4") == {"q4"}
 
     def test_underfull_keeps_everything(self) -> None:
-        state = ValueBasedExpertState(vf(q1=1, q2=2, q9=9), capacity=3)
-        state = vb_offer(vb_offer(state, fact("q1")), fact("q2"))
-        assert state.stored_questions() == {"q1", "q2"}
-        assert vb_true_threshold(state) == 0
-
-    def test_conflicting_answer_rejected(self) -> None:
-        state = vb_offer(ValueBasedExpertState(vf(q1=1), capacity=1), fact("q1"))
-        with pytest.raises(ValueError):
-            vb_offer(state, Fact("q1", "other"))
-
-    def test_unknown_question_rejected(self) -> None:
-        with pytest.raises(KeyError):
-            vb_offer(ValueBasedExpertState(vf(q1=1), capacity=1), fact("q2"))
+        suite = SimulatedValueSuite([vf(q1=1, q2=2, q9=9)], capacity=3)
+        suite.offer(fact("q1"))
+        suite.offer(fact("q2"))
+        assert stored(suite, "q1 q2 q9") == {"q1", "q2"}
+        assert suite.true_thresholds().tolist() == [0]
 
     def test_true_threshold_examples(self) -> None:
         values = vf(a=5, b=3, c=7, d=9, e=4)
-        state = ValueBasedExpertState(values, capacity=2)
+        suite = SimulatedValueSuite([values], capacity=2)
         for q in ("a", "b", "c"):
-            state = vb_offer(state, fact(q))
+            suite.offer(fact(q))
         # reference: sort all seen values and index the 2nd largest
-        assert vb_true_threshold(state) == sorted([5, 3, 7])[-2] == 5
-        single = vb_offer(ValueBasedExpertState(values, capacity=2), fact("d"))
-        assert vb_true_threshold(single) == 0
-        one = vb_offer(ValueBasedExpertState(values, capacity=1), fact("e"))
-        assert vb_true_threshold(one) == 4
-
-    @given(
-        st.integers(1, 5),
-        st.integers(2, 20),
-        st.lists(st.integers(0, 19), min_size=1, max_size=60),
-        st.randoms(use_true_random=False),
-    )
-    def test_replay_equivalence_random(self, m, universe, picks, rng) -> None:
-        questions = [f"q{i}" for i in range(universe)]
-        scores = list(range(1, universe + 1))
-        rng.shuffle(scores)
-        values = ValueFunction(dict(zip(questions, scores)))
-        state = ValueBasedExpertState(values, capacity=m)
-        offered: list[str] = []
-        previous_threshold = 0
-        for pick in picks:
-            q = questions[pick % universe]
-            state = vb_offer(state, fact(q))
-            offered.append(q)
-            assert state.stored_questions() == top_m_replay(offered, values, m)
-            threshold = vb_true_threshold(state)
-            assert threshold >= previous_threshold  # cutoffs never move down
-            previous_threshold = threshold
+        assert suite.true_thresholds().tolist() == [sorted([5, 3, 7])[-2]] == [5]
+        single = SimulatedValueSuite([values], capacity=2)
+        single.offer(fact("d"))
+        assert single.true_thresholds().tolist() == [0]
+        one = SimulatedValueSuite([values], capacity=1)
+        one.offer(fact("e"))
+        assert one.true_thresholds().tolist() == [4]
 
 
 class TestOracleBackings:
@@ -129,9 +103,7 @@ class TestOracleBackings:
     def test_unlisted_pair_is_illegal_to_query(self) -> None:
         ragged = SimulatedValueSuite([vf(q1=1, q2=2), vf(q1=4)], capacity=1)
         ragged.offer(fact("q1"))
-        assert ragged.knows_one(0, "q1") is True
-        with pytest.raises(KeyError, match="expert 1 declares no value"):
-            ragged.knows_one(1, "q2")
+        assert ragged.knows("q1").tolist() == [True, True]
         with pytest.raises(KeyError, match="expert 1 declares no value"):
             ragged.knows("q2")
         with pytest.raises(KeyError, match="expert 1 declares no value"):
@@ -171,20 +143,18 @@ class TestSimulatedSuiteErrors:
 )
 def test_simulated_suite_matches_the_per_expert_reference(n, m, size, picks, seed) -> None:
     """After every offer, each expert stores the top-M replay of what it was
-    shown, the cutoffs are those of a ``vb_offer`` replay, and ``offer``
-    returns exactly the questions whose membership moved."""
+    shown, each cutoff is the M-th largest distinct value shown, and
+    ``offer`` returns exactly the questions whose membership moved."""
     universe = [f"q{i}" for i in range(size)]
     table = random_value_suite(n, universe, seed)
     value_functions = table.value_functions()
     suite = SimulatedValueSuite(value_functions, capacity=m)
-    states = [ValueBasedExpertState(values, m) for values in value_functions]
     offered: list[str] = []
     stored = [set() for _ in range(n)]
     for pick in picks:
         q = universe[pick % size]  # a repeated pick re-offers a shown fact
         changed = suite.offer(fact(q))
         offered.append(q)
-        states = [vb_offer(state, fact(q)) for state in states]
         member = suite.knows_many(universe)
         moved: set[str] = set()
         for e, values in enumerate(value_functions):
@@ -194,13 +164,16 @@ def test_simulated_suite_matches_the_per_expert_reference(n, m, size, picks, see
             stored[e] = now
         assert set(changed) == moved
         assert len(changed) == len(moved)
-        assert suite.true_thresholds().tolist() == [vb_true_threshold(s) for s in states]
+        assert suite.true_thresholds().tolist() == [
+            kth_largest({values[p] for p in offered}, m) for values in value_functions
+        ]
 
 
 def test_value_offers_name_the_newcomer_then_each_evictee_in_expert_order() -> None:
     """Both value backings return what an offer moved in one order: the
     newcomer if any expert kept it, then each evicted question once, in the
-    order of the first expert by index to evict it (a ``vb_offer`` replay)."""
+    order of the first expert by index to evict it (each expert's memory
+    before and after the offer is its ``top_m_replay``)."""
     rng = random.Random(17)
     shared_evictees = 0
     for _ in range(60):
@@ -209,22 +182,16 @@ def test_value_offers_name_the_newcomer_then_each_evictee_in_expert_order() -> N
         table = random_value_suite(n, universe, rng.randrange(10**9))
         value_functions = table.value_functions()
         suites = [ThresholdValueSuite(table, m), SimulatedValueSuite(value_functions, m)]
-        states = [ValueBasedExpertState(values, m) for values in value_functions]
+        offered: list[str] = []
         for _ in range(30):
             q = rng.choice(universe)
-            after = [vb_offer(state, fact(q)) for state in states]
-            kept = any(
-                q in new.stored_questions() and q not in old.stored_questions()
-                for old, new in zip(states, after)
-            )
-            evicted = [
-                gone
-                for old, new in zip(states, after)
-                for gone in old.stored_questions() - new.stored_questions()
-            ]
+            before = [top_m_replay(offered, values, m) for values in value_functions]
+            offered.append(q)
+            after = [top_m_replay(offered, values, m) for values in value_functions]
+            kept = any(q in new and q not in old for old, new in zip(before, after))
+            evicted = [gone for old, new in zip(before, after) for gone in old - new]
             shared_evictees += len(evicted) - len(set(evicted))
             expected = ((q,) if kept else ()) + tuple(dict.fromkeys(evicted))
-            states = after
             for suite in suites:
                 assert suite.offer(fact(q)) == expected, suite.backing
     assert shared_evictees  # some offer evicted one question from several experts

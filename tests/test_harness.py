@@ -5,11 +5,16 @@ import json
 import numpy as np
 import pytest
 
+# The planted wrong eviction below runs checks from these test modules.
+import test_acceptance
+import test_adversaries
+import test_experts
 from factgame import harness, invariants
 from factgame.adversaries import LowerBoundAdversary
 from factgame.cli import main
 from factgame.harness import (
     AUX_CAP_FACTOR,
+    BudgetViolationError,
     ConfigError,
     RunConfig,
     build_adversary,
@@ -22,7 +27,7 @@ from factgame.harness import (
     run_game,
     sweep,
 )
-from factgame.experts import SimulatedValueSuite, ThresholdValueSuite, vb_offer
+from factgame.experts import SimulatedValueSuite, ThresholdValueSuite
 from factgame.invariants import verify
 from factgame.model import CSV_HEADER, TEACH, GameLedger, Stream, evaluate, teach
 
@@ -519,6 +524,41 @@ def _build_lazy_declaring_4m(config, *rest):
     return learner
 
 
+def _declaring(budget: str, size: int):
+    """A ``build_learner`` whose learner declares ``budget`` to be ``size``."""
+
+    def build(config, *rest):
+        learner = _build_learner(config, *rest)
+        setattr(learner, budget, size)
+        return learner
+
+    return build
+
+
+@pytest.mark.parametrize(
+    "learner,budget,trace",
+    [("lazy", "fact_budget", "fact_memory_trace"),
+     ("value-lazy", "question_budget", "question_memory_trace")],
+)
+def test_budget_check_fires_one_below_the_peak(monkeypatch, learner, budget, trace) -> None:
+    # A game whose largest memory equals the declared budget passes; one
+    # less stops it at the first step that reaches that peak.
+    config = RunConfig(
+        learner=learner,
+        adversary="random:universe=16,T=400,teach=0.5,seed=3",
+        experts="values:N=4,universe=16,seed=1",
+        capacity=2,
+    )
+    sizes = getattr(run_game(config)[0], trace)
+    peak = max(sizes)
+    assert peak > 0
+    monkeypatch.setattr(harness, "build_learner", _declaring(budget, peak))
+    assert run_game(config)[1].passed
+    monkeypatch.setattr(harness, "build_learner", _declaring(budget, peak - 1))
+    with pytest.raises(BudgetViolationError, match=rf"^step {sizes.index(peak) + 1}: "):
+        run_game(config)
+
+
 _simulated_offer = SimulatedValueSuite.offer
 
 
@@ -528,6 +568,20 @@ def _select_best_stored_block(self, k):
         for i in range(1, self.instance.arity + 1)
     ]
     return 1 + stored.index(max(stored))
+
+
+def _offer_never_admitting_to_a_full_memory(self, fact):
+    # Each full memory is put back as it stood, so only under-full experts
+    # store anything; the returned tuple is the correct offer's.
+    full = [
+        (e, dict(memory), self._weakest[e], self._cutoffs[e])
+        for e, memory in enumerate(self._memory)
+        if len(memory) >= self.capacity
+    ]
+    changed = _simulated_offer(self, fact)
+    for e, memory, weakest, cutoff in full:
+        self._memory[e], self._weakest[e], self._cutoffs[e] = memory, weakest, cutoff
+    return changed
 
 
 def _offer_hiding_evictions(self, fact):
@@ -548,11 +602,7 @@ VERIFY_FAULTS = {
     # teaches later in the stream count as earlier ones
     "sequential-scan": (invariants, "validate_sequential", _scan_against_whole_stream),
     # a full memory never admits a higher-valued newcomer
-    "value-expert-replay": (
-        invariants,
-        "vb_offer",
-        lambda state, fact: state if len(state.memory) >= state.capacity else vb_offer(state, fact),
-    ),
+    "value-expert-replay": (SimulatedValueSuite, "offer", _offer_never_admitting_to_a_full_memory),
     "oracle-backings": (ThresholdValueSuite, "knows_many", _knows_many_flipping_expert_0),
     # offer moves the memories right but reports only the newcomer
     "oracle-backings/hidden-eviction": (SimulatedValueSuite, "offer", _offer_hiding_evictions),
@@ -574,6 +624,9 @@ VERIFY_FAULTS = {
 
 # The further `verify` lines a fault fails where another checker reads it too.
 ALSO_FAILS = {
+    # the oracle-backings check plays the simulation against the threshold
+    # backing, which still admits the newcomer
+    "value-expert-replay": ["oracle-backings"],
     # run-bounds and lower-bound play lazy on the threshold backing: with
     # evictions hidden it keeps facts no expert holds, until run_game stops it
     # at its fact budget
@@ -591,6 +644,33 @@ def test_verify_reports_each_injected_fault(monkeypatch, entry) -> None:
     assert [line.split(":")[0] for line in lines if not line.startswith("PASS")] == [
         f"FAIL {check}" for check in expected
     ], "\n".join(lines)
+
+
+# Every check that plays the simulation backing's top-M rule, each of which
+# must catch a wrong eviction there.
+WRONG_EVICTION_CATCHERS = {
+    "criterion 5": test_acceptance.test_criterion_5_oracle_equivalence,
+    "criterion 8": test_acceptance.test_criterion_8_value_expert_semantics,
+    "suite vs per-expert reference": lambda: (
+        test_experts.test_simulated_suite_matches_the_per_expert_reference.hypothesis.inner_test(
+            n=2, m=1, size=4, picks=[0, 1, 2, 3], seed=0
+        )
+    ),
+    "offers name what moved": (
+        test_experts.test_value_offers_name_the_newcomer_then_each_evictee_in_expert_order
+    ),
+    "lower-bound blocks": lambda: (
+        test_adversaries.TestLowerBoundInstance()
+        .test_expert_holds_exactly_its_block_after_each_collection()
+    ),
+}
+
+
+@pytest.mark.parametrize("check", list(WRONG_EVICTION_CATCHERS))
+def test_wrong_eviction_is_caught(monkeypatch, check) -> None:
+    monkeypatch.setattr(SimulatedValueSuite, "offer", _offer_never_admitting_to_a_full_memory)
+    with pytest.raises(AssertionError):
+        WRONG_EVICTION_CATCHERS[check]()
 
 
 def test_value_lazy_warns_on_nonsequential_adversary() -> None:

@@ -248,6 +248,7 @@ def test_incremental_memory_phase_matches_full_recompute_on_seeded_streams() -> 
 
 _full_sim_update = FullSimLearner.update_memory
 _lazy_update = LazyLearner.update_memory
+_value_lazy_raise_cutoffs = ValueLazyLearner._raise_cutoffs
 
 
 def _mwu_observe_keeping_weights(self, question, know=None):
@@ -267,6 +268,14 @@ def _lazy_ignoring_evictions(self, question, answer, changed=None):
     _lazy_update(self, question, answer, None if changed is None else ())
 
 
+def _raise_cutoffs_ignoring_active(self, *args):
+    active, self.active = self.active, np.ones_like(self.active)
+    try:
+        return _value_lazy_raise_cutoffs(self, *args)
+    finally:
+        self.active = active
+
+
 # One planted fault per incremental path, with the named test that must
 # catch it.
 MEMORY_PHASE_FAULTS = {
@@ -281,6 +290,10 @@ MEMORY_PHASE_FAULTS = {
     "lazy recounts only the step's fact": (
         LazyLearner, "update_memory", _lazy_ignoring_evictions,
         test_incremental_memory_phase_matches_full_recompute_on_seeded_streams,
+    ),
+    "value-lazy raises the cutoffs of inactive experts": (
+        ValueLazyLearner, "_raise_cutoffs", _raise_cutoffs_ignoring_active,
+        lambda: test_value_lazy_matches_naive_reference_on_random_streams(),  # defined below
     ),
 }
 

@@ -148,6 +148,20 @@ def test_ledger_running_sums_are_consistent(steps) -> None:
     assert ledger.opt == min(ledger.expert_mistakes)
 
 
+_record_step = GameLedger.record_step
+
+
+def _record_step_dropping_expert_costs(self, **step):
+    return _record_step(self, **{**step, "expert_costs": None})
+
+
+def test_dropped_expert_costs_are_caught(monkeypatch) -> None:
+    # Planted fault: the ledger charges no expert on any step.
+    monkeypatch.setattr(GameLedger, "record_step", _record_step_dropping_expert_costs)
+    with pytest.raises(AssertionError):
+        test_ledger_running_sums_are_consistent()
+
+
 def _refresh_keeping_witness(self) -> None:
     self._opt = int(self.expert_mistakes[self._witness])
 
