@@ -6,14 +6,17 @@ Two families of experts:
   score and always retain the ``capacity`` highest-scoring facts seen so far.
   A panel's scores form one validated, read-only ``N x U`` table
   (:class:`ValueTable`). The panel admits two interchangeable
-  representations: an explicit eviction-based simulation
-  (:class:`SimulatedValueSuite`: each expert's memory is a question -> value
-  dict updated in place, with its weakest stored fact tracked, so a first
-  show costs one compare per expert and an eviction one ``min`` over M) and a
-  vectorized form over the table itself (:class:`ThresholdValueSuite`: the
+  representations, both reading that table by reference: an explicit
+  eviction-based simulation (:class:`SimulatedValueSuite`: each expert's
+  memory is a question -> value dict updated in place, with its weakest
+  stored fact tracked, so a first show reads one table column and visits
+  only the experts whose cutoff the value beats, and an eviction costs one
+  ``min`` over M) and a vectorized form (:class:`ThresholdValueSuite`: the
   shared seen-set, each expert's top-M seen values and their columns in an
   unsorted ``N x M`` array with the slot of its smallest one, and the
-  retention cutoff vector). Membership answers and returned changes must
+  retention cutoff vector). Only a suite file whose experts score different
+  questions has no table; the simulation reads it through per-expert
+  :class:`ValueFunction` mappings. Membership answers and returned changes must
   agree; the test suite checks this exhaustively at small scale. The
   top-M rule itself is checked on the simulation: the replay checks in
   :mod:`factgame.invariants` play :class:`SimulatedValueSuite` (N=1 for a
@@ -27,7 +30,8 @@ Every suite answers the same membership questions, and learners ask them of
 the suite directly (the game loop decides when memories advance, so query
 timing is the caller's contract):
 
-* ``knows(q)``: a length-N bool vector, expert e's bit set iff e stores q;
+* ``knows(q)``: a length-N bool vector, expert e's bit set iff e stores q
+  (it may be a read-only view: callers copy it before writing);
 * ``knows_many(qs)``: the ``len(qs) x N`` stack of those vectors;
 * ``count_active(q, active, token)``: how many experts under the bool mask
   ``active`` store q; ``token`` names the mask's version, so a suite may
@@ -38,7 +42,9 @@ timing is the caller's contract):
   evicted question in the order of the first expert evicting it); only a
   caller-supplied suite may return None, meaning any membership may have
   moved, and learners then recompute their memory phase in full. A value
-  suite raises KeyError for a question outside an expert's declared values.
+  suite raises KeyError for a question outside an expert's declared values,
+  and ValueError for an answer other than the one a question was first
+  shown with.
 
 Expert-suite files list one value per line: ``expert <id> value <qid> <nat>``.
 Querying an (expert, question) pair the file never listed is an error.
@@ -254,104 +260,126 @@ class StridePolicy(ScriptedPolicy):
         return (fact.question,)
 
 
+def _value_lookup(values: ValueTable | Sequence[ValueFunction]):
+    """The per-question lookup a :class:`SimulatedValueSuite` reads: question
+    -> its N values as an ``int64`` vector in expert order. Over a table that
+    is one column (a view, no copy); over per-expert mappings one probe each.
+    A question some expert does not score raises KeyError naming the first
+    such expert (expert 0 for a table, whose experts share one universe)."""
+    if isinstance(values, ValueTable):
+        array, column = values.values, values.column
+
+        def lookup(question: QuestionId) -> np.ndarray:
+            try:
+                return array[:, column(question)]
+            except KeyError:
+                raise _undeclared(0, question) from None
+
+        return lookup
+    rows = [vf.values for vf in values]
+
+    def lookup(question: QuestionId) -> np.ndarray:
+        column = [row.get(question) for row in rows]
+        if None in column:
+            raise _undeclared(column.index(None), question)
+        return np.array(column, dtype=np.int64)
+
+    return lookup
+
+
+def _undeclared(expert: int, question: QuestionId) -> KeyError:
+    return KeyError(
+        f"expert {expert} declares no value for question {question!r}; "
+        "the pair is illegal to query"
+    )
+
+
 class SimulatedValueSuite:
     """Reference value-based suite: an explicit eviction simulation, kept
     apart from the threshold arithmetic.
 
+    Built over a :class:`ValueTable`, held by reference as the threshold
+    backing holds it, or, for a suite file whose experts score different
+    questions, over per-expert :class:`ValueFunction` mappings. One lookup,
+    chosen at construction, reads a question's N values: a table column, or
+    one probe per mapping.
+
     Each expert holds its memory as a ``question -> value`` dict updated in
     place, plus the question of its weakest stored fact. The suite keeps one
     ``int64`` cutoff vector (the weakest stored value of each full memory, 0
-    while under capacity), written only when a cutoff moves, and one answers
-    dict for the facts any expert has stored. A newcomer costs one value
-    lookup and one compare per expert; the weakest fact is searched for
-    again (a ``min`` over M entries) only on an eviction or when a memory
-    first fills. This is the one eviction-based copy of the top-M rule: the
-    replay checks and the criteria play it, one expert or a panel at a
-    time, against the sort-based references in :mod:`factgame.invariants`.
+    while under capacity), written whenever a cutoff moves, and the answer
+    of every question shown. A first show reads the question's values once
+    and visits only the experts whose cutoff its value beats: each stores
+    the newcomer, a full memory evicting its weakest fact, and the weakest
+    fact is searched for again (a ``min`` over M entries) only on such an
+    eviction or when a memory first fills. A re-show moves nothing. This is
+    the one eviction-based copy of the top-M rule: the replay checks and the
+    criteria play it, one expert or a panel at a time, against the
+    sort-based references in :mod:`factgame.invariants`.
     """
 
     backing = "simulation"
 
-    def __init__(self, value_functions: Sequence[ValueFunction], capacity: int):
-        if not value_functions:
+    def __init__(self, values: ValueTable | Sequence[ValueFunction], capacity: int):
+        self.table = values if isinstance(values, ValueTable) else None
+        n = len(values) if self.table is None else self.table.n
+        if not n:
             raise ValueError("need at least one expert")
         if capacity < 1:
             raise ValueError("capacity must be >= 1")
         self.capacity = capacity
-        self._values = [vf.values for vf in value_functions]
-        self._memory: list[dict[QuestionId, int]] = [{} for _ in value_functions]
-        self._weakest: list[QuestionId | None] = [None] * len(value_functions)
-        self._cutoffs = np.zeros(len(value_functions), dtype=np.int64)
-        self._answers: dict[QuestionId, Answer] = {}
+        self._values_of = _value_lookup(values)
+        self._memory: list[dict[QuestionId, int]] = [{} for _ in range(n)]
+        self._weakest: list[QuestionId | None] = [None] * n
+        self._cutoffs = np.zeros(n, dtype=np.int64)
+        self._answers: dict[QuestionId, Answer] = {}  # every question shown
 
     @property
     def n(self) -> int:
         return len(self._memory)
 
-    @staticmethod
-    def _undeclared(expert: int, question: QuestionId) -> KeyError:
-        return KeyError(
-            f"expert {expert} declares no value for question {question!r}; "
-            "the pair is illegal to query"
-        )
-
     def offer(self, fact: Fact) -> tuple[QuestionId, ...]:
         q = fact.question
-        stored = self._answers.get(q, fact.answer)
-        if stored != fact.answer and any(q in memory for memory in self._memory):
-            raise ValueError(
-                f"conflicting answer for {q!r}: "
-                f"stored {stored!r}, offered {fact.answer!r}"
-            )
-        capacity = self.capacity
-        weakest = self._weakest  # None while a memory is under capacity
-        kept = False
-        evicted: dict[QuestionId, None] = {}  # in the order of the first evicting expert
-        for e, (values, memory) in enumerate(zip(self._values, self._memory)):
-            try:
-                value = values[q]
-            except KeyError:
-                raise self._undeclared(e, q) from None
-            w = weakest[e]
-            if w is not None:
-                # Every stored value is >= the weakest one, so a value at or
-                # below it is either the weakest fact itself or not stored.
-                if value <= memory[w] or q in memory:
-                    continue
-                del memory[w]
-                memory[q] = value
-                evicted[w] = None
-            elif q in memory:
-                continue
-            else:
-                memory[q] = value
-                if len(memory) < capacity:
-                    kept = True
-                    continue
-            kept = True
-            w = weakest[e] = min(memory, key=memory.__getitem__)
-            self._cutoffs[e] = memory[w]
-        if not kept:
-            return ()
+        if q in self._answers:
+            stored = self._answers[q]
+            if stored != fact.answer:
+                raise ValueError(
+                    f"conflicting answer for {q!r}: "
+                    f"stored {stored!r}, offered {fact.answer!r}"
+                )
+            return ()  # re-shows never move a value-based memory
+        column = self._values_of(q)
         self._answers[q] = fact.answer
+        # A full memory whose weakest value is at least q's keeps what it
+        # holds; the cutoff of a memory under capacity is 0, below every value.
+        rows = np.flatnonzero(column > self._cutoffs)
+        if not rows.size:
+            return ()
+        capacity = self.capacity
+        memories, weakest, cutoffs = self._memory, self._weakest, self._cutoffs
+        evicted: dict[QuestionId, None] = {}  # in the order of the first evicting expert
+        for e, value in zip(rows.tolist(), column[rows].tolist()):
+            memory = memories[e]
+            w = weakest[e]  # None while the memory is under capacity
+            if w is not None:
+                del memory[w]
+                evicted[w] = None
+            memory[q] = value
+            if w is None and len(memory) < capacity:
+                continue
+            w = weakest[e] = min(memory, key=memory.__getitem__)
+            cutoffs[e] = memory[w]
         return (q, *evicted)
 
-    def _check_declared(self, question: QuestionId) -> None:
-        # A vector query touches every (expert, question) pair, so every
-        # expert must declare the question.
-        for e, values in enumerate(self._values):
-            if question not in values:
-                raise self._undeclared(e, question)
-
     def knows(self, question: QuestionId) -> np.ndarray:
-        self._check_declared(question)
+        self._values_of(question)  # KeyError unless every expert scores the question
         return np.fromiter(
             (question in memory for memory in self._memory), dtype=bool, count=self.n
         )
 
     def knows_many(self, questions: Sequence[QuestionId]) -> np.ndarray:
         for q in questions:
-            self._check_declared(q)
+            self._values_of(q)
         rows = [[q in memory for memory in self._memory] for q in questions]
         return np.asarray(rows, dtype=bool).reshape(len(questions), self.n)
 
@@ -458,19 +486,37 @@ class ThresholdValueSuite:
 
 class ScriptedSuite:
     """Suite of policy-driven experts; ``expert_policy[i]`` names the policy
-    backing expert ``i``."""
+    backing expert ``i``.
+
+    Experts sharing a policy share its memory, so a question's membership
+    vector depends only on which policies hold it. ``knows`` and
+    ``knows_many`` return rows of one read-only table built at construction
+    and indexed by that set of policies as a bitmask (bit i for policy i):
+    ``2**P`` rows of N bools for P policies, so a query costs one dict probe
+    per policy and no per-expert work. A returned vector may be a view of
+    that table; callers copy it before writing.
+    """
 
     backing = "scripted"
+    MAX_POLICIES = 8  # the membership table has 2**P rows
 
     def __init__(self, policies: Sequence[ScriptedPolicy], expert_policy: Sequence[int]):
         if not policies or not expert_policy:
             raise ValueError("need at least one policy and one expert")
+        if len(policies) > self.MAX_POLICIES:
+            raise ValueError(
+                f"{len(policies)} policies; a scripted suite takes at most {self.MAX_POLICIES}"
+            )
         for p in expert_policy:
             if not 0 <= p < len(policies):
                 raise ValueError(f"policy index {p} out of range")
         self.policies = list(policies)
         self.expert_policy = np.asarray(expert_policy, dtype=np.int64)
         self.capacity = max(p.capacity for p in policies)
+        patterns = np.arange(1 << len(self.policies))[:, None]
+        self._by_pattern = ((patterns >> self.expert_policy) & 1).astype(bool)
+        self._by_pattern.flags.writeable = False
+        self._holders = [(1 << i, p._memory) for i, p in enumerate(self.policies)]
         self._mult: list[int] | None = None  # active experts per policy
         self._mult_token: object = object()
 
@@ -489,23 +535,20 @@ class ScriptedSuite:
                 )
         return changed
 
+    def _pattern(self, question: QuestionId) -> int:
+        """The bitmask of the policies holding ``question``."""
+        mask = 0
+        for bit, memory in self._holders:
+            if question in memory:
+                mask |= bit
+        return mask
+
     def knows(self, question: QuestionId) -> np.ndarray:
-        bits = np.fromiter(
-            (question in p._memory for p in self.policies),
-            dtype=bool,
-            count=len(self.policies),
-        )
-        return bits[self.expert_policy]
+        return self._by_pattern[self._pattern(question)]
 
     def knows_many(self, questions: Sequence[QuestionId]) -> np.ndarray:
-        n_pol = len(self.policies)
-        memories = [p._memory for p in self.policies]
-        bits = np.fromiter(
-            (q in mem for q in questions for mem in memories),
-            dtype=bool,
-            count=len(questions) * n_pol,
-        ).reshape(len(questions), n_pol)
-        return bits[:, self.expert_policy]
+        # take() gathers the rows faster than indexing with a list does.
+        return self._by_pattern.take([self._pattern(q) for q in questions], axis=0)
 
     def count_active(self, question: QuestionId, active: np.ndarray, token: object = None) -> int:
         if token is None or token != self._mult_token:

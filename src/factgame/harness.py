@@ -293,13 +293,13 @@ def _value_suite(
     table: exp.ValueTable, capacity: int, backing: str
 ) -> exp.SimulatedValueSuite | exp.ThresholdValueSuite:
     if backing == "simulation":
-        return exp.SimulatedValueSuite(table.value_functions(), capacity)
+        return exp.SimulatedValueSuite(table, capacity)
     return exp.ThresholdValueSuite(table, capacity)
 
 
 def build_suite(config: RunConfig, adversary: adv.Adversary):
     """Returns (suite, expert_ids, value table or None). A value-based suite
-    on the threshold backing holds that same table."""
+    on either backing holds that same table."""
     if isinstance(adversary, adv.LowerBoundAdversary):
         if config.experts is not None:
             raise ConfigError("lowerbound adversaries define their own expert suite")

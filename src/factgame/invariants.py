@@ -96,7 +96,7 @@ def check_top_m_replay(seed: int, rounds: int) -> tuple[bool, str]:
         capacity = rng.randrange(1, 6)
         table = exp.random_value_suite(1, qs, rng.randrange(10**9))
         values = table.value_function(0)
-        suite = exp.SimulatedValueSuite([values], capacity)
+        suite = exp.SimulatedValueSuite(table, capacity)
         offered: list[QuestionId] = []
         for _ in range(rng.randrange(1, 40)):
             q = rng.choice(qs)
@@ -130,7 +130,7 @@ def check_backings_agree(seed: int, rounds: int) -> tuple[bool, str]:
         n = rng.randrange(1, 7)
         capacity = rng.randrange(1, 6)
         table = exp.random_value_suite(n, qs, rng.randrange(10**9))
-        sim = exp.SimulatedValueSuite(table.value_functions(), capacity)
+        sim = exp.SimulatedValueSuite(table, capacity)
         thr = exp.ThresholdValueSuite(table, capacity)
         taught: list[QuestionId] = []
         before = sim.knows_many(qs)

@@ -287,7 +287,7 @@ def test_criterion_5_oracle_equivalence() -> None:
                 walk(suites, seen, depth - 1)
 
         start = (
-            SimulatedValueSuite(table.value_functions(), capacity),
+            SimulatedValueSuite(table, capacity),
             ThresholdValueSuite(table, capacity),
         )
         compare(start, frozenset())
@@ -348,7 +348,7 @@ def test_criterion_8_value_expert_semantics() -> None:
     exhaustive_checked = 0
     for capacity in (1, 2, 3, 4, 5):
         for order in itertools.permutations(questions):
-            suite = SimulatedValueSuite([values], capacity)
+            suite = SimulatedValueSuite(table, capacity)
             offered: list[str] = []
             for q in order:
                 suite.offer(Fact(q, "a"))

@@ -115,7 +115,7 @@ class TestLowerBoundInstance:
 
     def test_expert_holds_exactly_its_block_after_each_collection(self) -> None:
         inst = build_lower_bound_instance(c=1, n_experts=8, capacity=2, opt=0)
-        suite = SimulatedValueSuite(inst.table.value_functions(), inst.capacity)
+        suite = SimulatedValueSuite(inst.table, inst.capacity)
         universe = inst.table.universe
         for k in range(1, inst.depth + 1):
             for fact in inst.collections[k - 1]:

@@ -127,6 +127,19 @@ class TestSimulatedSuiteErrors:
         with pytest.raises(ValueError, match="conflicting answer"):
             suite.offer(Fact("q1", "other"))
 
+    def test_a_question_no_expert_holds_keeps_its_first_answer(self) -> None:
+        # Both backings bind a question's answer at its first show, whether
+        # an expert kept the fact (a, evicted by b) or none did (a after b).
+        table = ValueTable(["a", "b"], [[1, 2]])
+        for order in ("ab", "ba"):
+            for suite in (SimulatedValueSuite(table, 1), ThresholdValueSuite(table, 1)):
+                for q in order:
+                    suite.offer(Fact(q, {"a": "x", "b": "y"}[q]))
+                assert not suite.knows("a")[0]
+                assert suite.offer(Fact("a", "x")) == ()
+                with pytest.raises(ValueError, match="conflicting answer"):
+                    suite.offer(Fact("a", "z"))
+
     def test_capacity_below_one_rejected(self) -> None:
         for capacity in (0, -1):
             with pytest.raises(ValueError, match="capacity"):
@@ -148,14 +161,18 @@ def test_simulated_suite_matches_the_per_expert_reference(n, m, size, picks, see
     universe = [f"q{i}" for i in range(size)]
     table = random_value_suite(n, universe, seed)
     value_functions = table.value_functions()
-    suite = SimulatedValueSuite(value_functions, capacity=m)
+    suite = SimulatedValueSuite(table, capacity=m)
+    # The same panel read through per-expert mappings, as a ragged file is.
+    mapped = SimulatedValueSuite(value_functions, capacity=m)
     offered: list[str] = []
     stored = [set() for _ in range(n)]
     for pick in picks:
         q = universe[pick % size]  # a repeated pick re-offers a shown fact
         changed = suite.offer(fact(q))
+        assert mapped.offer(fact(q)) == changed
         offered.append(q)
         member = suite.knows_many(universe)
+        assert np.array_equal(mapped.knows_many(universe), member)
         moved: set[str] = set()
         for e, values in enumerate(value_functions):
             now = {p for p, bit in zip(universe, member[:, e]) if bit}
@@ -181,7 +198,7 @@ def test_value_offers_name_the_newcomer_then_each_evictee_in_expert_order() -> N
         n, m = rng.randrange(1, 7), rng.randrange(1, 4)
         table = random_value_suite(n, universe, rng.randrange(10**9))
         value_functions = table.value_functions()
-        suites = [ThresholdValueSuite(table, m), SimulatedValueSuite(value_functions, m)]
+        suites = [ThresholdValueSuite(table, m), SimulatedValueSuite(table, m)]
         offered: list[str] = []
         for _ in range(30):
             q = rng.choice(universe)
@@ -235,11 +252,19 @@ class TestScriptedPolicies:
 
     @pytest.mark.parametrize("name", sorted(SCRIPTED_SUITES))
     def test_capacity_respected_on_random_streams(self, name: str) -> None:
+        # Membership answers are expert i's policy's memory, read per expert.
         rng = random.Random(11)
         suite = build_scripted_suite(name, n_experts=6, capacity=3)
+        universe = [f"q{i}" for i in range(12)]
         for _ in range(300):
-            suite.offer(fact(f"q{rng.randrange(12)}"))
+            suite.offer(fact(rng.choice(universe)))
             assert all(len(p.memory()) <= 3 for p in suite.policies)
+            expected = [
+                [q in suite.policies[p]._memory for p in suite.expert_policy] for q in universe
+            ]
+            assert suite.knows_many(universe).tolist() == expected
+            assert [suite.knows(q).tolist() for q in universe] == expected
+        assert suite.knows_many([]).shape == (0, 6)
 
     def test_suite_delta_reports_every_membership_change(self) -> None:
         rng = random.Random(5)
@@ -361,6 +386,34 @@ class TestValueTable:
         assert table.universe == ("a", "b")
         with pytest.raises(KeyError, match="outside the declared universe"):
             table.column("z")
+
+
+def test_simulation_backing_reads_the_shared_table(monkeypatch) -> None:
+    # A rectangular panel on the simulation backing makes no per-expert
+    # mapping from its table: the suite and value-lazy hold the one array.
+    def no_mappings(*args, **kwargs):
+        raise AssertionError("a per-expert value mapping was built")
+
+    monkeypatch.setattr(ValueTable, "value_function", no_mappings)
+    monkeypatch.setattr(ValueFunction, "__post_init__", no_mappings)
+    config = RunConfig(
+        learner="value-lazy",
+        adversary="random:universe=12,T=50,seed=3",
+        experts="values:N=5,universe=12,seed=4",
+        capacity=2,
+        oracle_backing="simulation",
+    )
+    adversary = build_adversary(config)
+    suite, _, table = build_suite(config, adversary)
+    learner = build_learner(config, suite, table, adversary)
+    assert isinstance(suite, SimulatedValueSuite)
+    assert suite.table is table
+    assert learner.values is table.values
+    for event in adversary.stream:
+        suite.offer(fact(event.question))
+        suite.knows(event.question)
+    with pytest.raises(KeyError, match="expert 0 declares no value"):
+        suite.knows("q12")
 
 
 def test_value_lazy_shares_the_suites_table() -> None:

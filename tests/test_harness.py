@@ -584,6 +584,17 @@ def _offer_never_admitting_to_a_full_memory(self, fact):
     return changed
 
 
+def _offer_leaving_first_fill_cutoffs_unwritten(self, fact):
+    # A memory that fills on this offer keeps the cutoff 0 it had under
+    # capacity, so later first shows visit it whatever their value.
+    filling = [e for e, memory in enumerate(self._memory) if len(memory) == self.capacity - 1]
+    changed = _simulated_offer(self, fact)
+    for e in filling:
+        if len(self._memory[e]) == self.capacity:
+            self._cutoffs[e] = 0
+    return changed
+
+
 def _offer_hiding_evictions(self, fact):
     return tuple(q for q in _simulated_offer(self, fact) if q == fact.question)
 
@@ -603,6 +614,10 @@ VERIFY_FAULTS = {
     "sequential-scan": (invariants, "validate_sequential", _scan_against_whole_stream),
     # a full memory never admits a higher-valued newcomer
     "value-expert-replay": (SimulatedValueSuite, "offer", _offer_never_admitting_to_a_full_memory),
+    # the first-show filter reads a cutoff never written when a memory filled
+    "value-expert-replay/first-fill-cutoff": (
+        SimulatedValueSuite, "offer", _offer_leaving_first_fill_cutoffs_unwritten,
+    ),
     "oracle-backings": (ThresholdValueSuite, "knows_many", _knows_many_flipping_expert_0),
     # offer moves the memories right but reports only the newcomer
     "oracle-backings/hidden-eviction": (SimulatedValueSuite, "offer", _offer_hiding_evictions),
@@ -627,6 +642,7 @@ ALSO_FAILS = {
     # the oracle-backings check plays the simulation against the threshold
     # backing, which still admits the newcomer
     "value-expert-replay": ["oracle-backings"],
+    "value-expert-replay/first-fill-cutoff": ["oracle-backings"],
     # run-bounds and lower-bound play lazy on the threshold backing: with
     # evictions hidden it keeps facts no expert holds, until run_game stops it
     # at its fact budget
@@ -671,6 +687,73 @@ def test_wrong_eviction_is_caught(monkeypatch, check) -> None:
     monkeypatch.setattr(SimulatedValueSuite, "offer", _offer_never_admitting_to_a_full_memory)
     with pytest.raises(AssertionError):
         WRONG_EVICTION_CATCHERS[check]()
+
+
+def test_unwritten_first_fill_cutoff_is_caught_by_the_reference(monkeypatch) -> None:
+    monkeypatch.setattr(SimulatedValueSuite, "offer", _offer_leaving_first_fill_cutoffs_unwritten)
+    with pytest.raises(AssertionError):
+        test_experts.test_simulated_suite_matches_the_per_expert_reference.hypothesis.inner_test(
+            n=2, m=2, size=6, picks=[0, 1, 2, 3, 4, 5], seed=0
+        )
+
+
+# What perfbench/ patches from outside the package, by name: the three
+# builders run_game looks up at call time and the methods it wraps on what
+# they build. A scripted suite has no cutoffs, so no true_thresholds; the
+# benchmark wraps only the methods a suite has.
+BENCHMARK_SUITE_METHODS = ("knows", "knows_many", "offer", "count_active", "union_memory")
+BENCHMARK_LEDGER_KEYWORDS = (
+    "kind", "question", "cost", "expert_costs", "fact_memory", "question_memory",
+    "aux_state", "active_experts",
+)
+
+
+@pytest.mark.parametrize(
+    "experts,backing",
+    [("scripted:striped,N=4", "auto"), ("values:N=4,universe=8", "simulation"),
+     ("values:N=4,universe=8", "threshold"), (None, "simulation"), (None, "threshold")],
+)
+def test_benchmark_hooks_keep_their_names_and_shapes(monkeypatch, experts, backing) -> None:
+    adversary_spec = (
+        "random:universe=8,T=40,seed=2" if experts else "lowerbound:c=2,N=4,M=2,opt=1"
+    )
+    built = {"adversary": 0, "suite": 0, "learner": 0}
+
+    def counting(kind, build):
+        def wrapped(*args, **kwargs):
+            built[kind] += 1
+            return build(*args, **kwargs)
+
+        return wrapped
+
+    scripted = backing == "auto"
+    for learner in harness.LEARNER_NAMES:
+        if learner == "value-lazy" and scripted:
+            continue
+        config = RunConfig(
+            learner=learner, adversary=adversary_spec, experts=experts,
+            capacity=2, oracle_backing=backing,
+        )
+        adversary = harness.build_adversary(config)
+        assert callable(adversary.next_event)
+        result = harness.build_suite(config, adversary)
+        assert isinstance(result, tuple) and len(result) == 3
+        suite, _, table = result
+        assert suite.backing in ("scripted", "simulation", "threshold")
+        methods = BENCHMARK_SUITE_METHODS + (() if scripted else ("true_thresholds",))
+        for method in methods:
+            assert callable(getattr(suite, method)), method
+        built_learner = harness.build_learner(config, suite, table, adversary)
+        for method in ("observe_evaluation", "update_memory"):
+            assert callable(getattr(built_learner, method)), method
+        assert isinstance(built_learner.generation, int)
+    for kind in built:
+        monkeypatch.setattr(harness, f"build_{kind}", counting(kind, getattr(harness, f"build_{kind}")))
+    run_game(config)
+    assert built == {"adversary": 1, "suite": 1, "learner": 1}
+    ledger = harness.GameLedger(2)
+    ledger.record_step(**dict.fromkeys(BENCHMARK_LEDGER_KEYWORDS, 0) | {"expert_costs": None})
+    assert len(ledger) == 1
 
 
 def test_value_lazy_warns_on_nonsequential_adversary() -> None:

@@ -24,6 +24,7 @@ from factgame.learners import (
     MwuLearner,
     RandomEvictLearner,
     ValueLazyLearner,
+    _ActiveSetLearner,
 )
 from factgame.model import Fact
 
@@ -141,7 +142,7 @@ def make_suite(backing: str, n: int, capacity: int, universe: int, seed: int):
         return build_scripted_suite(("recency", "first-vs-last", "striped")[seed % 3], n, capacity)
     table = random_value_suite(n, [f"q{i}" for i in range(universe)], seed + 1)
     if backing == "simulation":
-        return SimulatedValueSuite(table.value_functions(), capacity)
+        return SimulatedValueSuite(table, capacity)
     return ThresholdValueSuite(table, capacity)
 
 
@@ -368,6 +369,84 @@ class TestLazy:
         suite.set("q", [False, False])
         learner.update_memory("q2", None, changed=["q"])
         assert "q" not in learner.memory
+
+    def test_value_lazy_memory_tie_keeps_fact(self) -> None:
+        learner = make_value_lazy([{"q": 2, "r": 1}, {"q": 1, "r": 2}], capacity=1)
+        learner.update_memory("q", "a")
+        learner.update_memory("r", "a")  # expert 1's cutoff rises to r's value
+        # q and r each have one saver out of two active: both ties
+        assert list(learner.threshold_values()) == [2, 2]
+        assert set(learner.memory) == {"q", "r"}
+
+
+_drop_bad_experts = _ActiveSetLearner._drop_bad_experts
+_mwu_weights = MwuLearner.weights
+
+
+def _drop_bad_experts_below_the_boundary(self):
+    # Deactivation at n_active < 3 * nbad, which for integers is the rule
+    # read with one more active expert.
+    n_active, generation = self.n_active, self.generation
+    self.n_active += 1
+    _drop_bad_experts(self)
+    if self.generation == generation:
+        self.n_active = n_active
+
+
+def _dropping_majority_ties(update_memory):
+    # A fact goes at 2 * c <= n_active: the rule read with one more active
+    # expert, which the memory phase reads only for that test.
+    def planted(self, question, answer, changed=None):
+        self.n_active += 1
+        try:
+            update_memory(self, question, answer, changed)
+        finally:
+            self.n_active -= 1
+
+    return planted
+
+
+def _mwu_weights_dropping_half_weight_ties(self):
+    # A fact goes at exactly half the weight: below the next float up.
+    fresh = self._weights is None
+    weights = _mwu_weights(self)
+    if fresh:
+        self._half = np.nextafter(self._half, np.inf)
+    return weights
+
+
+# One planted fault per boundary of the majority and deactivation rules,
+# with the named tests that must each catch it.
+BOUNDARY_FAULTS = {
+    "deactivation fires only below 3 * nbad": (
+        _ActiveSetLearner, "_drop_bad_experts", _drop_bad_experts_below_the_boundary,
+        [
+            lambda: TestLazy().test_bulk_removal_boundary_triggers_at_equality(),
+            lambda: TestLazy().test_value_lazy_bulk_removal_boundary_triggers_at_equality(),
+        ],
+    ),
+    "lazy drops a fact at a majority tie": (
+        LazyLearner, "update_memory", _dropping_majority_ties(LazyLearner.update_memory),
+        [lambda: TestLazy().test_memory_tie_keeps_fact()],
+    ),
+    "value-lazy drops a fact at a majority tie": (
+        ValueLazyLearner, "update_memory", _dropping_majority_ties(ValueLazyLearner.update_memory),
+        [lambda: TestLazy().test_value_lazy_memory_tie_keeps_fact()],
+    ),
+    "mwu drops a fact at half the weight": (
+        MwuLearner, "weights", _mwu_weights_dropping_half_weight_ties,
+        [lambda: TestMwu().test_half_weight_boundary_keeps_the_fact()],
+    ),
+}
+
+
+@pytest.mark.parametrize("fault", list(BOUNDARY_FAULTS))
+def test_boundary_fault_is_caught(monkeypatch, fault) -> None:
+    target, name, planted, catching_tests = BOUNDARY_FAULTS[fault]
+    monkeypatch.setattr(target, name, planted)
+    for catching_test in catching_tests:
+        with pytest.raises(AssertionError):
+            catching_test()
 
 
 class NaiveLazy:
