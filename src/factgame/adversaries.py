@@ -168,7 +168,8 @@ def build_lower_bound_instance(
     order = sorted(range(floor), key=lambda g: universe[g])
     column = np.empty(floor, dtype=np.int64)
     column[order] = np.arange(floor)
-    values = np.empty((n_experts, floor), dtype=np.int64)
+    # Question-major, as ValueTable stores it, so the table takes it over.
+    values = np.empty((n_experts, floor), dtype=np.int64, order="F")
     values[:, column] = np.arange(1, floor + 1)
     # The level-k block outranks everything shown earlier: its values sit in
     # the band above the whole base enumeration, rising with k.

@@ -5,7 +5,9 @@ Two families of experts:
 * **Value-based** experts rank every question with a per-expert injective
   score and always retain the ``capacity`` highest-scoring facts seen so far.
   A panel's scores form one validated, read-only ``N x U`` table
-  (:class:`ValueTable`). The panel admits two interchangeable
+  (:class:`ValueTable`), stored question-major (numpy Fortran order), so
+  the N values of one question, the read every hot path makes, are one
+  contiguous column. The panel admits two interchangeable
   representations, both reading that table by reference: an explicit
   eviction-based simulation (:class:`SimulatedValueSuite`: each expert's
   memory is a question -> value dict updated in place, with its weakest
@@ -100,10 +102,14 @@ class ValueTable:
     array, row ``e`` holding expert ``e``'s injective scoring of the
     questions in ``universe`` (column order).
 
-    Validated once, vectorized, on construction: the array is rectangular,
-    every value is an integer >= 1, and no row repeats a value. The array is
-    then frozen, so the suite and the learner can share it by reference. An
-    ``int64`` array passed in is taken over, not copied.
+    The array is stored question-major (numpy Fortran order): every hot read
+    takes one question's N values, and ``values[:, col]`` is then one
+    contiguous view. Validated once, vectorized, on construction: the array
+    is rectangular, every value is an integer >= 1, and no row repeats a
+    value. The array is then frozen, so the suite and the learner can share
+    it by reference. An F-contiguous ``int64`` array passed in is taken
+    over, not copied; any other input (another layout or dtype, a nested
+    list) is copied once into that layout.
     """
 
     def __init__(self, universe: Sequence[QuestionId], values) -> None:
@@ -115,7 +121,7 @@ class ValueTable:
             raise ValueError(f"value table must be 2-D, got shape {array.shape}")
         if array.size and array.dtype.kind not in "iu":
             raise ValueError(f"values must be integers, got dtype {array.dtype}")
-        array = array.astype(np.int64, copy=False)
+        array = np.asfortranarray(array, dtype=np.int64)
         n, u = array.shape
         if n < 1:
             raise ValueError("need at least one expert")
@@ -135,9 +141,12 @@ class ValueTable:
                     f"integer >= 1, got {array[e, c]}"
                 )
             # Rows are sorted 64 at a time: one sorted copy of the whole
-            # table would double the memory that building it takes.
+            # table would double the memory that building it takes. Each
+            # block is a row-major copy (np.array always copies), so the
+            # sort runs along contiguous rows and never touches the table.
             for lo in range(0, n, 64):
-                ordered = np.sort(array[lo:lo + 64], axis=1)
+                ordered = np.array(array[lo:lo + 64], order="C")
+                ordered.sort(axis=1)
                 repeats = ordered[:, 1:] == ordered[:, :-1]
                 if repeats.any():
                     e, c = np.argwhere(repeats)[0]
@@ -371,11 +380,16 @@ class SimulatedValueSuite:
             cutoffs[e] = memory[w]
         return (q, *evicted)
 
-    def knows(self, question: QuestionId) -> np.ndarray:
+    def _holders(self, question: QuestionId) -> np.ndarray:
+        """The membership vector that ``knows`` and ``count_active`` share,
+        so a wrapper on an instance's ``knows`` sees only direct queries."""
         self._values_of(question)  # KeyError unless every expert scores the question
         return np.fromiter(
             (question in memory for memory in self._memory), dtype=bool, count=self.n
         )
+
+    def knows(self, question: QuestionId) -> np.ndarray:
+        return self._holders(question)
 
     def knows_many(self, questions: Sequence[QuestionId]) -> np.ndarray:
         for q in questions:
@@ -384,7 +398,7 @@ class SimulatedValueSuite:
         return np.asarray(rows, dtype=bool).reshape(len(questions), self.n)
 
     def count_active(self, question: QuestionId, active: np.ndarray, token: object = None) -> int:
-        return int((self.knows(question) & active).sum())
+        return int((self._holders(question) & active).sum())
 
     def union_memory(self) -> set[Fact]:
         answers = self._answers
@@ -584,7 +598,9 @@ def random_value_suite(
     order = sorted(range(u), key=lambda i: str(universe[i]))
     position = np.empty(u, dtype=np.int64)  # column of universe[i]
     position[order] = np.arange(u)
-    values = np.empty((n_experts, u), dtype=np.int64)
+    # Question-major, as ValueTable stores it: the table takes this array
+    # over, where a row-major one would be copied (a second N x U array).
+    values = np.empty((n_experts, u), dtype=np.int64, order="F")
     for e in range(n_experts):
         scores = list(range(1, u + 1))
         rng.shuffle(scores)

@@ -21,6 +21,7 @@ from factgame.experts import (
     load_expert_suite,
     random_value_suite,
 )
+from factgame.adversaries import build_lower_bound_instance
 from factgame.harness import RunConfig, build_adversary, build_learner, build_suite
 from factgame.invariants import kth_largest, top_m_replay
 from factgame.model import Fact
@@ -144,6 +145,28 @@ class TestSimulatedSuiteErrors:
         for capacity in (0, -1):
             with pytest.raises(ValueError, match="capacity"):
                 SimulatedValueSuite([vf(q1=1)], capacity=capacity)
+
+
+def test_count_active_does_not_go_through_knows() -> None:
+    # A wrapper on an instance's public knows (as a tracer installs) must
+    # not see count_active's membership probes, on either value backing.
+    universe = [f"q{i}" for i in range(12)]
+    table = random_value_suite(6, universe, seed=5)
+    active = np.array([True, False, True, True, False, True])
+    answers = []
+    for suite in (SimulatedValueSuite(table, 3), ThresholdValueSuite(table, 3)):
+        for q in universe[:8]:
+            suite.offer(fact(q))
+        expected = [int((suite.knows(q) & active).sum()) for q in universe]
+
+        def no_knows(question):
+            raise AssertionError("count_active called the public knows")
+
+        suite.knows = no_knows
+        counts = [suite.count_active(q, active) for q in universe]
+        assert counts == expected
+        answers.append(counts)
+    assert answers[0] == answers[1]
 
 
 @settings(max_examples=200, deadline=None)
@@ -386,6 +409,48 @@ class TestValueTable:
         assert table.universe == ("a", "b")
         with pytest.raises(KeyError, match="outside the declared universe"):
             table.column("z")
+
+    @pytest.mark.parametrize(
+        "producer",
+        ["random_value_suite", "lower_bound", "from_mappings", "nested_list"],
+    )
+    def test_every_producer_stores_the_table_question_major(self, producer) -> None:
+        if producer == "random_value_suite":
+            table = random_value_suite(5, [f"q{i}" for i in range(7)], seed=3)
+        elif producer == "lower_bound":
+            table = build_lower_bound_instance(2, 9, 2, 1).table
+        elif producer == "from_mappings":
+            table = ValueTable.from_mappings([{"a": 2, "b": 1, "c": 3}, {"a": 1, "b": 3, "c": 2}])
+        else:
+            table = ValueTable(["a", "b", "c"], [[2, 1, 3], [1, 3, 2]])
+        values = table.values
+        assert values.flags.f_contiguous and not values.flags.writeable
+        assert values.dtype == np.int64
+        for c in range(values.shape[1]):
+            column = values[:, c]
+            assert column.flags.c_contiguous
+            assert np.shares_memory(column, values)
+
+    def test_an_f_ordered_int64_array_is_taken_over_and_any_other_copied(self) -> None:
+        rows = [[1, 2, 3], [3, 1, 2]]
+        fortran = np.asfortranarray(np.array(rows, dtype=np.int64))
+        assert np.shares_memory(ValueTable("abc", fortran).values, fortran)
+        int32_fortran = np.asfortranarray(np.array(rows, dtype=np.int32))
+        for other in (np.array(rows, dtype=np.int64), int32_fortran):
+            table = ValueTable("abc", other)
+            assert table.values.flags.f_contiguous
+            assert not np.shares_memory(table.values, other)
+
+    @pytest.mark.parametrize("shape", [(1, 6), (6, 1), (5, 7)])
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_construction_never_reorders_values(self, shape, order) -> None:
+        n, u = shape
+        rng = np.random.default_rng(n * 100 + u)
+        rows = np.array([rng.permutation(u) + 1 for _ in range(n)], dtype=np.int64)
+        given = np.array(rows, order=order)
+        table = ValueTable([f"q{i}" for i in range(u)], given)
+        assert np.array_equal(table.values, rows)
+        assert np.array_equal(given, rows)  # the caller's array as it was passed
 
 
 def test_simulation_backing_reads_the_shared_table(monkeypatch) -> None:
