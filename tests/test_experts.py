@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from factgame.adversaries import build_lower_bound_instance
 from factgame.experts import (
     KeepFirstPolicy,
     KeepLastPolicy,
@@ -21,7 +22,6 @@ from factgame.experts import (
     load_expert_suite,
     random_value_suite,
 )
-from factgame.adversaries import build_lower_bound_instance
 from factgame.harness import RunConfig, build_adversary, build_learner, build_suite
 from factgame.invariants import kth_largest, top_m_replay
 from factgame.model import Fact
