@@ -18,7 +18,6 @@ from .experts import (
     ScriptedSuite,
     SimulatedValueSuite,
     ThresholdValueSuite,
-    ValueFunction,
     ValueTable,
     build_scripted_suite,
     load_expert_suite,

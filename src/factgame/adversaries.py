@@ -52,6 +52,8 @@ def random_stream(universe_size: int, length: int, teach_fraction: float, seed: 
         raise ValueError("teach_fraction must lie in [0, 1]")
     if universe_size < 1:
         raise ValueError("universe_size must be >= 1")
+    if length < 0:
+        raise ValueError(f"length must be >= 0, got {length}")
     rng = random.Random(seed)
     questions = [f"q{i}" for i in range(universe_size)]
     answers = {q: f"a{i}" for i, q in enumerate(questions)}

@@ -7,22 +7,22 @@ Two families of experts:
   A panel's scores form one validated, read-only ``N x U`` table
   (:class:`ValueTable`), stored question-major (numpy Fortran order), so
   the N values of one question, the read every hot path makes, are one
-  contiguous column. The panel admits two interchangeable
-  representations, both reading that table by reference: an explicit
-  eviction-based simulation (:class:`SimulatedValueSuite`: each expert's
-  memory is a question -> value dict updated in place, with its weakest
-  stored fact tracked, so a first show reads one table column and visits
-  only the experts whose cutoff the value beats, and an eviction costs one
-  ``min`` over M) and a vectorized form (:class:`ThresholdValueSuite`: the
-  shared seen-set, each expert's top-M seen values and their columns in an
-  unsorted ``N x M`` array with the slot of its smallest one, and the
-  retention cutoff vector). Only a suite file whose experts score different
-  questions has no table; the simulation reads it through per-expert
-  :class:`ValueFunction` mappings. Membership answers and returned changes must
-  agree; the test suite checks this exhaustively at small scale. The
-  top-M rule itself is checked on the simulation: the replay checks in
-  :mod:`factgame.invariants` play :class:`SimulatedValueSuite` (N=1 for a
-  single expert) against the sort-based ``top_m_replay`` and ``kth_largest``.
+  contiguous column. It is the panel's one representation: a suite file
+  whose experts score different questions becomes the table over the
+  questions every expert scores. Two interchangeable backings read it by
+  reference: an explicit eviction-based simulation
+  (:class:`SimulatedValueSuite`: each expert's memory is a question -> value
+  dict updated in place, with its weakest stored fact tracked, so a first
+  show reads one table column and visits only the experts whose cutoff the
+  value beats, and an eviction costs one ``min`` over M) and a vectorized
+  form (:class:`ThresholdValueSuite`: the shared seen-set, each expert's
+  top-M seen values and their columns in an unsorted ``N x M`` array with
+  the slot of its smallest one, and the retention cutoff vector). Membership
+  answers and returned changes must agree; the test suite checks this
+  exhaustively at small scale. The top-M rule itself is checked on the
+  simulation: the replay checks in :mod:`factgame.invariants` play
+  :class:`SimulatedValueSuite` (N=1 for a single expert) against the
+  sort-based ``top_m_replay`` and ``kth_largest``.
 
 * **Scripted** experts follow deterministic stream-order policies (recency,
   first-seen, stride). Policies depend only on the stream, never on expert
@@ -44,19 +44,17 @@ timing is the caller's contract):
   evicted question in the order of the first expert evicting it); only a
   caller-supplied suite may return None, meaning any membership may have
   moved, and learners then recompute their memory phase in full. A value
-  suite raises KeyError for a question outside an expert's declared values,
-  and ValueError for an answer other than the one a question was first
-  shown with.
+  suite raises KeyError for a question outside its table, and ValueError
+  for an answer other than the one a question was first shown with.
 
 Expert-suite files list one value per line: ``expert <id> value <qid> <nat>``.
-Querying an (expert, question) pair the file never listed is an error.
+Only the questions every expert scores are legal to query.
 """
 
 from __future__ import annotations
 
 import random
 from collections import OrderedDict
-from dataclasses import dataclass
 from typing import IO, Iterable, Mapping, Sequence
 
 import numpy as np
@@ -64,37 +62,6 @@ import numpy as np
 from .model import Answer, Fact, QuestionId
 
 SENTINEL_VALUE = 0  # below every legal score; legal scores are integers >= 1
-
-
-@dataclass(frozen=True)
-class ValueFunction:
-    """An injective question -> natural-number scoring, total on its domain."""
-
-    values: Mapping[QuestionId, int]
-
-    def __post_init__(self) -> None:
-        seen: dict[int, QuestionId] = {}
-        for q, v in self.values.items():
-            if not isinstance(v, int) or isinstance(v, bool) or v < 1:
-                raise ValueError(f"value for {q!r} must be an integer >= 1, got {v!r}")
-            if v in seen:
-                raise ValueError(
-                    f"value function not injective: {q!r} and {seen[v]!r} share {v}"
-                )
-            seen[v] = q
-
-    def __getitem__(self, question: QuestionId) -> int:
-        try:
-            return self.values[question]
-        except KeyError:
-            raise KeyError(f"value function undefined on question {question!r}") from None
-
-    @classmethod
-    def _trusted(cls, values: Mapping[QuestionId, int]) -> "ValueFunction":
-        """Wrap a scoring already validated elsewhere, skipping the checks."""
-        vf = object.__new__(cls)
-        object.__setattr__(vf, "values", values)
-        return vf
 
 
 class ValueTable:
@@ -159,18 +126,15 @@ class ValueTable:
 
     @classmethod
     def from_mappings(cls, rows: Sequence[Mapping[QuestionId, int]]) -> "ValueTable":
-        """Table of per-expert ``question -> value`` mappings that all share
-        one domain; columns follow ``sorted(domain, key=str)``."""
+        """Table of per-expert ``question -> value`` mappings over the
+        questions that every row scores, columns in ``sorted(..., key=str)``
+        order. A question some row leaves out has no column."""
         if not rows:
             raise ValueError("need at least one expert")
-        domain = rows[0].keys()
-        for i, row in enumerate(rows):
-            if row.keys() != domain:
-                raise ValueError(
-                    f"expert {i} declares a different question universe; "
-                    "a value table must be rectangular"
-                )
-        universe = sorted(domain, key=str)
+        shared = set(rows[0]).intersection(*rows[1:])
+        if not shared:
+            raise ValueError("no question is scored by every expert")
+        universe = sorted(shared, key=str)
         return cls(universe, [[row[q] for q in universe] for row in rows])
 
     @property
@@ -185,14 +149,9 @@ class ValueTable:
                 f"question {question!r} is outside the declared universe"
             ) from None
 
-    def value_function(self, expert: int) -> ValueFunction:
-        """Expert ``expert``'s row as a question -> value mapping."""
-        return ValueFunction._trusted(
-            dict(zip(self.universe, self.values[expert].tolist()))
-        )
-
-    def value_functions(self) -> list[ValueFunction]:
-        return [self.value_function(e) for e in range(self.n)]
+    def value_function(self, expert: int) -> dict[QuestionId, int]:
+        """Expert ``expert``'s row as a question -> value dict."""
+        return dict(zip(self.universe, self.values[expert].tolist()))
 
 
 class ScriptedPolicy:
@@ -269,49 +228,12 @@ class StridePolicy(ScriptedPolicy):
         return (fact.question,)
 
 
-def _value_lookup(values: ValueTable | Sequence[ValueFunction]):
-    """The per-question lookup a :class:`SimulatedValueSuite` reads: question
-    -> its N values as an ``int64`` vector in expert order. Over a table that
-    is one column (a view, no copy); over per-expert mappings one probe each.
-    A question some expert does not score raises KeyError naming the first
-    such expert (expert 0 for a table, whose experts share one universe)."""
-    if isinstance(values, ValueTable):
-        array, column = values.values, values.column
-
-        def lookup(question: QuestionId) -> np.ndarray:
-            try:
-                return array[:, column(question)]
-            except KeyError:
-                raise _undeclared(0, question) from None
-
-        return lookup
-    rows = [vf.values for vf in values]
-
-    def lookup(question: QuestionId) -> np.ndarray:
-        column = [row.get(question) for row in rows]
-        if None in column:
-            raise _undeclared(column.index(None), question)
-        return np.array(column, dtype=np.int64)
-
-    return lookup
-
-
-def _undeclared(expert: int, question: QuestionId) -> KeyError:
-    return KeyError(
-        f"expert {expert} declares no value for question {question!r}; "
-        "the pair is illegal to query"
-    )
-
-
 class SimulatedValueSuite:
     """Reference value-based suite: an explicit eviction simulation, kept
     apart from the threshold arithmetic.
 
     Built over a :class:`ValueTable`, held by reference as the threshold
-    backing holds it, or, for a suite file whose experts score different
-    questions, over per-expert :class:`ValueFunction` mappings. One lookup,
-    chosen at construction, reads a question's N values: a table column, or
-    one probe per mapping.
+    backing holds it: a question's N values are one column of the table.
 
     Each expert holds its memory as a ``question -> value`` dict updated in
     place, plus the question of its weakest stored fact. The suite keeps one
@@ -329,15 +251,14 @@ class SimulatedValueSuite:
 
     backing = "simulation"
 
-    def __init__(self, values: ValueTable | Sequence[ValueFunction], capacity: int):
-        self.table = values if isinstance(values, ValueTable) else None
-        n = len(values) if self.table is None else self.table.n
-        if not n:
-            raise ValueError("need at least one expert")
+    def __init__(self, table: ValueTable, capacity: int):
         if capacity < 1:
             raise ValueError("capacity must be >= 1")
         self.capacity = capacity
-        self._values_of = _value_lookup(values)
+        self.table = table
+        self.values = table.values
+        self._column = table.column
+        n = table.n
         self._memory: list[dict[QuestionId, int]] = [{} for _ in range(n)]
         self._weakest: list[QuestionId | None] = [None] * n
         self._cutoffs = np.zeros(n, dtype=np.int64)
@@ -357,7 +278,7 @@ class SimulatedValueSuite:
                     f"stored {stored!r}, offered {fact.answer!r}"
                 )
             return ()  # re-shows never move a value-based memory
-        column = self._values_of(q)
+        column = self.values[:, self._column(q)]
         self._answers[q] = fact.answer
         # A full memory whose weakest value is at least q's keeps what it
         # holds; the cutoff of a memory under capacity is 0, below every value.
@@ -383,7 +304,7 @@ class SimulatedValueSuite:
     def _holders(self, question: QuestionId) -> np.ndarray:
         """The membership vector that ``knows`` and ``count_active`` share,
         so a wrapper on an instance's ``knows`` sees only direct queries."""
-        self._values_of(question)  # KeyError unless every expert scores the question
+        self._column(question)  # KeyError for a question outside the table
         return np.fromiter(
             (question in memory for memory in self._memory), dtype=bool, count=self.n
         )
@@ -393,7 +314,7 @@ class SimulatedValueSuite:
 
     def knows_many(self, questions: Sequence[QuestionId]) -> np.ndarray:
         for q in questions:
-            self._values_of(q)
+            self._column(q)
         rows = [[q in memory for memory in self._memory] for q in questions]
         return np.asarray(rows, dtype=bool).reshape(len(questions), self.n)
 
@@ -660,9 +581,11 @@ def dump_expert_suite(
 
 def load_expert_suite(lines: Iterable[str]) -> dict[str, dict[str, int]]:
     """Parse ``expert <id> value <qid> <natural>`` lines into per-expert value
-    tables. Duplicate (expert, qid) pairs and non-natural values are errors;
-    unlisted pairs stay illegal to query."""
+    tables. Duplicate (expert, qid) pairs, non-natural values and a value one
+    expert uses twice are errors, whichever questions the other experts
+    score; unlisted pairs stay illegal to query."""
     table: dict[str, dict[str, int]] = {}
+    used: dict[str, dict[int, str]] = {}  # per expert: value -> its question
     for lineno, raw in enumerate(lines, start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -680,7 +603,14 @@ def load_expert_suite(lines: Iterable[str]) -> dict[str, dict[str, int]]:
         per = table.setdefault(eid, {})
         if qid in per:
             raise ValueError(f"line {lineno}: duplicate entry for expert {eid} question {qid}")
+        taken = used.setdefault(eid, {})
+        if value in taken:
+            raise ValueError(
+                f"line {lineno}: expert {eid} uses value {value} twice "
+                f"({taken[value]} and {qid}); its values must be distinct"
+            )
         per[qid] = value
+        taken[value] = qid
     if not table:
         raise ValueError("expert suite file declares no experts")
     return table

@@ -299,7 +299,8 @@ def _value_suite(
 
 def build_suite(config: RunConfig, adversary: adv.Adversary):
     """Returns (suite, expert_ids, value table or None). A value-based suite
-    on either backing holds that same table."""
+    on either backing holds that same table; a suite file's table covers the
+    questions that every expert in it scores."""
     if isinstance(adversary, adv.LowerBoundAdversary):
         if config.experts is not None:
             raise ConfigError("lowerbound adversaries define their own expert suite")
@@ -326,6 +327,8 @@ def build_suite(config: RunConfig, adversary: adv.Adversary):
         n = _int_opt(options, "N", spec)
         universe = _int_opt(options, "universe", spec)
         seed = _int_opt(options, "seed", spec, default=config.seed + 1)
+        if universe < 1:
+            raise ConfigError(f"{spec!r}: universe must be >= 1")
         try:
             table = exp.random_value_suite(n, [f"q{i}" for i in range(universe)], seed)
         except ValueError as err:
@@ -341,18 +344,8 @@ def build_suite(config: RunConfig, adversary: adv.Adversary):
     except ValueError as err:
         raise ConfigError(str(err)) from None
     ids = sorted(rows_by_id)
-    rows = [rows_by_id[eid] for eid in ids]
-    ragged = any(row.keys() != rows[0].keys() for row in rows)
-    if ragged and config.oracle_backing == "threshold":
-        raise ConfigError(
-            f"expert suite {path!r} is ragged; the threshold backing needs "
-            "every expert to score the same questions"
-        )
     try:
-        if ragged:  # only the simulation can hold experts scoring different questions
-            vfs = [exp.ValueFunction(row) for row in rows]
-            return exp.SimulatedValueSuite(vfs, config.capacity), ids, None
-        table = exp.ValueTable.from_mappings(rows)
+        table = exp.ValueTable.from_mappings([rows_by_id[eid] for eid in ids])
     except ValueError as err:
         raise ConfigError(f"expert suite {path!r}: {err}") from None
     return _value_suite(table, config.capacity, config.oracle_backing), ids, table
@@ -374,10 +367,7 @@ def build_learner(
         return lrn.LazyLearner(suite, config.capacity)
     if name == "value-lazy":
         if table is None:
-            raise ConfigError(
-                "value-lazy requires a value-based expert suite in which every "
-                "expert scores the same questions"
-            )
+            raise ConfigError("value-lazy requires a value-based expert suite")
         return lrn.ValueLazyLearner(table, config.capacity)
     if name == "full-sim":
         return lrn.FullSimLearner(suite)

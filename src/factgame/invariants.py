@@ -18,13 +18,13 @@ from __future__ import annotations
 
 import io
 import random
-from typing import Iterable, Sequence
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
 from . import adversaries as adv
 from . import experts as exp
-from .experts import SENTINEL_VALUE, ValueFunction
+from .experts import SENTINEL_VALUE
 from .harness import BudgetViolationError, RunConfig, run_game
 from .model import EVALUATE, TEACH, Event, Fact, QuestionId, validate_sequential
 
@@ -41,7 +41,9 @@ def kth_largest(values: Iterable[int], k: int) -> int:
     return ordered[-k]
 
 
-def top_m_replay(offered: Iterable[QuestionId], values: ValueFunction, m: int) -> set[QuestionId]:
+def top_m_replay(
+    offered: Iterable[QuestionId], values: Mapping[QuestionId, int], m: int
+) -> set[QuestionId]:
     """Keep everything offered, then take the m highest-valued questions."""
     distinct = dict.fromkeys(offered)
     return set(sorted(distinct, key=values.__getitem__, reverse=True)[:m])

@@ -195,26 +195,24 @@ class _ActiveSetLearner(Learner):
     """Shared 0/1-weight bookkeeping of the lazy learners: deactivate experts
     in bulk once enough of the active ones have accumulated ``capacity``
     errors; when nobody is left, clear all error counts and reactivate
-    everyone. ``active`` is one bool array, changed only in place."""
+    everyone. ``active`` is one bool array, changed only in place, and
+    ``active_count`` the number of experts it marks."""
 
     def __init__(self, n_experts: int, capacity: int):
         super().__init__(n_experts, capacity)
         self.errors = np.zeros(self.n, dtype=np.int64)
         self.active = np.ones(self.n, dtype=bool)
-        self.n_active = self.n
-        self.active_count = self.n
 
     def _drop_bad_experts(self) -> None:
         bad = self.active & (self.errors >= self.M)
         nbad = np.count_nonzero(bad)
-        if nbad and self.n_active <= 3 * nbad:  # equality triggers the removal
+        if nbad and self.active_count <= 3 * nbad:  # equality triggers the removal
             self.active &= ~bad
             self.generation += 1
             if not self.active.any():
                 self.errors[:] = 0
                 self.active[:] = True
-            self.n_active = int(self.active.sum())
-            self.active_count = self.n_active
+            self.active_count = int(self.active.sum())
 
 
 class LazyLearner(_ActiveSetLearner):
@@ -285,7 +283,7 @@ class LazyLearner(_ActiveSetLearner):
                     suspects[question] = c
             if suspects is None:
                 return
-        threshold = self.n_active
+        threshold = self.active_count
         drops = [q for q, c in suspects.items() if 2 * c < threshold]
         for q in drops:  # ties persist the fact
             del memory[q]
@@ -385,13 +383,13 @@ class ValueLazyLearner(_ActiveSetLearner):
             if question not in self._mem_cols:
                 self.above += self.values[:, col] > self._t_vals
         self._raise_cutoffs(self.minor.keys(), self.tpre_col, self._tpre_vals, self.above_pre)
-        # Nothing a resolution reads (active set, pre-cutoffs, n_active)
+        # Nothing a resolution reads (active set, pre-cutoffs, active_count)
         # changes while the buffer resolves, so every column is judged at once.
         cols = np.fromiter(self.minor, dtype=np.int64, count=len(self.minor))
         tpre = self._tpre_vals[:, None]
         sub = self.values[:, cols]
         failing = (sub < tpre) & self.active[:, None]
-        resolved = 2 * np.count_nonzero(failing, axis=0) >= self.n_active
+        resolved = 2 * np.count_nonzero(failing, axis=0) >= self.active_count
         if not resolved.any():
             return
         self.errors += np.count_nonzero(failing[:, resolved], axis=1)
@@ -410,7 +408,7 @@ class ValueLazyLearner(_ActiveSetLearner):
             return  # only a learner mistake triggers the weight phase
         col = self._column(question)
         failed = self.active & (self.values[:, col] < self._t_vals)
-        if 2 * int(failed.sum()) < self.n_active:
+        if 2 * int(failed.sum()) < self.active_count:
             self.update_pre_threshold(question)
         else:
             self.errors[failed] += 1
@@ -478,7 +476,7 @@ class ValueLazyLearner(_ActiveSetLearner):
             if question in self.memory and question not in self._save_counts:
                 count = self._save_count(self._mem_cols[question])
                 self._save_counts[question] = suspects[question] = count
-        threshold = self.n_active
+        threshold = self.active_count
         drops = [q for q, c in suspects.items() if 2 * c < threshold]
         for q in drops:
             del self.memory[q]

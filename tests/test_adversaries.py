@@ -146,7 +146,7 @@ class TestLowerBoundInstance:
                         range(capacity * (i_k - 1) + 1, capacity * i_k + 1), start=1
                     ):
                         values[f"c{k}.{j}"] = floor + (k - 1) * capacity + rank
-            assert inst.table.value_function(e).values == values
+            assert inst.table.value_function(e) == values
 
     def test_opt_rounds_supply_fresh_facts(self) -> None:
         inst = build_lower_bound_instance(c=2, n_experts=4, capacity=3, opt=2)

@@ -15,7 +15,6 @@ from factgame.experts import (
     SimulatedValueSuite,
     StridePolicy,
     ThresholdValueSuite,
-    ValueFunction,
     ValueTable,
     build_scripted_suite,
     dump_expert_suite,
@@ -31,24 +30,36 @@ def fact(q: str) -> Fact:
     return Fact(q, f"ans-{q}")
 
 
-def vf(**values: int) -> ValueFunction:
-    return ValueFunction(values)
-
-
 class TestValueFunction:
+    """An expert's value function, as a table row or as its lines in a suite
+    file: injective, natural-valued, and defined only where declared."""
+
     def test_rejects_duplicates(self) -> None:
-        with pytest.raises(ValueError):
-            ValueFunction({"a": 3, "b": 3})
+        with pytest.raises(ValueError, match="injective"):
+            ValueTable.from_mappings([{"a": 3, "b": 3}])
+        # A suite file is checked line by line, so a value repeated on a
+        # question outside the shared set (e1's c) is still rejected.
+        lines = [
+            "expert e0 value a 1", "expert e0 value b 2",
+            "expert e1 value a 1", "expert e1 value c 1",
+        ]
+        with pytest.raises(ValueError, match=r"line 4: expert e1 uses value 1 twice \(a and c\)"):
+            load_expert_suite(lines)
 
     def test_rejects_non_natural_values(self) -> None:
-        with pytest.raises(ValueError):
-            ValueFunction({"a": 0})
-        with pytest.raises(ValueError):
-            ValueFunction({"a": True})
+        with pytest.raises(ValueError, match=">= 1"):
+            ValueTable.from_mappings([{"a": 0}])
+        with pytest.raises(ValueError, match="integers"):
+            ValueTable.from_mappings([{"a": True}])
+        with pytest.raises(ValueError, match="line 2: values must be >= 1"):
+            load_expert_suite(["expert e0 value a 1", "expert e1 value b 0"])
 
     def test_undefined_question(self) -> None:
+        table = ValueTable.from_mappings([{"a": 1}])
         with pytest.raises(KeyError):
-            vf(a=1)["b"]
+            table.value_function(0)["b"]
+        with pytest.raises(KeyError, match="outside the declared universe"):
+            table.column("b")
 
 
 def stored(suite: SimulatedValueSuite, questions: str) -> set[str]:
@@ -61,68 +72,75 @@ class TestValueBasedExpert:
     """Worked examples of the top-M rule on a one-expert simulation suite."""
 
     def test_keeps_highest_valued(self) -> None:
-        suite = SimulatedValueSuite([vf(q5=5, q3=3, q7=7)], capacity=2)
+        table = ValueTable.from_mappings([{"q5": 5, "q3": 3, "q7": 7}])
+        suite = SimulatedValueSuite(table, capacity=2)
         for q in ("q5", "q3", "q7"):
             suite.offer(fact(q))
         assert stored(suite, "q5 q3 q7") == {"q5", "q7"}
 
     def test_reoffer_is_a_noop(self) -> None:
-        suite = SimulatedValueSuite([vf(q4=4)], capacity=1)
+        suite = SimulatedValueSuite(ValueTable.from_mappings([{"q4": 4}]), capacity=1)
         assert suite.offer(fact("q4")) == ("q4",)
         assert suite.offer(fact("q4")) == ()
         assert stored(suite, "q4") == {"q4"}
 
     def test_underfull_keeps_everything(self) -> None:
-        suite = SimulatedValueSuite([vf(q1=1, q2=2, q9=9)], capacity=3)
+        table = ValueTable.from_mappings([{"q1": 1, "q2": 2, "q9": 9}])
+        suite = SimulatedValueSuite(table, capacity=3)
         suite.offer(fact("q1"))
         suite.offer(fact("q2"))
         assert stored(suite, "q1 q2 q9") == {"q1", "q2"}
         assert suite.true_thresholds().tolist() == [0]
 
     def test_true_threshold_examples(self) -> None:
-        values = vf(a=5, b=3, c=7, d=9, e=4)
-        suite = SimulatedValueSuite([values], capacity=2)
+        values = ValueTable.from_mappings([{"a": 5, "b": 3, "c": 7, "d": 9, "e": 4}])
+        suite = SimulatedValueSuite(values, capacity=2)
         for q in ("a", "b", "c"):
             suite.offer(fact(q))
         # reference: sort all seen values and index the 2nd largest
         assert suite.true_thresholds().tolist() == [sorted([5, 3, 7])[-2]] == [5]
-        single = SimulatedValueSuite([values], capacity=2)
+        single = SimulatedValueSuite(values, capacity=2)
         single.offer(fact("d"))
         assert single.true_thresholds().tolist() == [0]
-        one = SimulatedValueSuite([values], capacity=1)
+        one = SimulatedValueSuite(values, capacity=1)
         one.offer(fact("e"))
         assert one.true_thresholds().tolist() == [4]
 
 
 class TestOracleBackings:
     def test_membership_examples(self) -> None:
-        suite = SimulatedValueSuite([vf(q1=2, q2=1)], capacity=1)
+        suite = SimulatedValueSuite(ValueTable.from_mappings([{"q1": 2, "q2": 1}]), capacity=1)
         suite.offer(fact("q1"))
         assert suite.knows("q1")[0]
         assert not suite.knows("q2")[0]
 
     def test_unlisted_pair_is_illegal_to_query(self) -> None:
-        ragged = SimulatedValueSuite([vf(q1=1, q2=2), vf(q1=4)], capacity=1)
-        ragged.offer(fact("q1"))
-        assert ragged.knows("q1").tolist() == [True, True]
-        with pytest.raises(KeyError, match="expert 1 declares no value"):
-            ragged.knows("q2")
-        with pytest.raises(KeyError, match="expert 1 declares no value"):
-            ragged.offer(fact("q2"))
-        thr = ThresholdValueSuite(ValueTable.from_mappings([{"q1": 1, "q2": 2}]), capacity=1)
-        with pytest.raises(KeyError):
-            thr.knows("q9")
+        # Expert 1 scores no q2, so the panel's table has no q2 column.
+        ragged = ValueTable.from_mappings([{"q1": 1, "q2": 2}, {"q1": 4}])
+        for suite in (SimulatedValueSuite(ragged, 1), ThresholdValueSuite(ragged, 1)):
+            suite.offer(fact("q1"))
+            assert suite.knows("q1").tolist() == [True, True]
+            with pytest.raises(KeyError, match="'q2' is outside the declared universe"):
+                suite.knows("q2")
+            with pytest.raises(KeyError, match="'q2' is outside the declared universe"):
+                suite.offer(fact("q2"))
+            with pytest.raises(KeyError):
+                suite.knows_many(["q1", "q9"])
 
     def test_rectangular_table_required_for_threshold_backing(self) -> None:
-        with pytest.raises(ValueError):
-            ThresholdValueSuite(
-                ValueTable.from_mappings([{"q1": 1, "q2": 2}, {"q1": 4}]), capacity=1
-            )
+        with pytest.raises(ValueError, match="rectangular"):
+            ThresholdValueSuite(ValueTable(["q1", "q2"], [[1, 2], [4]]), capacity=1)
+        # Rows scoring different questions give the table of the shared ones.
+        table = ValueTable.from_mappings([{"q1": 1, "q2": 2}, {"q1": 4, "q3": 1}])
+        assert table.universe == ("q1",)
+        assert table.values.tolist() == [[1], [4]]
 
 
 class TestSimulatedSuiteErrors:
     def test_conflicting_answer_rejected(self) -> None:
-        suite = SimulatedValueSuite([vf(q1=2, q2=1), vf(q1=1, q2=2)], capacity=1)
+        suite = SimulatedValueSuite(
+            ValueTable.from_mappings([{"q1": 2, "q2": 1}, {"q1": 1, "q2": 2}]), capacity=1
+        )
         suite.offer(fact("q1"))
         assert suite.offer(fact("q1")) == ()
         with pytest.raises(ValueError, match="conflicting answer"):
@@ -144,7 +162,7 @@ class TestSimulatedSuiteErrors:
     def test_capacity_below_one_rejected(self) -> None:
         for capacity in (0, -1):
             with pytest.raises(ValueError, match="capacity"):
-                SimulatedValueSuite([vf(q1=1)], capacity=capacity)
+                SimulatedValueSuite(ValueTable.from_mappings([{"q1": 1}]), capacity=capacity)
 
 
 def test_count_active_does_not_go_through_knows() -> None:
@@ -183,19 +201,15 @@ def test_simulated_suite_matches_the_per_expert_reference(n, m, size, picks, see
     ``offer`` returns exactly the questions whose membership moved."""
     universe = [f"q{i}" for i in range(size)]
     table = random_value_suite(n, universe, seed)
-    value_functions = table.value_functions()
+    value_functions = [table.value_function(e) for e in range(n)]
     suite = SimulatedValueSuite(table, capacity=m)
-    # The same panel read through per-expert mappings, as a ragged file is.
-    mapped = SimulatedValueSuite(value_functions, capacity=m)
     offered: list[str] = []
     stored = [set() for _ in range(n)]
     for pick in picks:
         q = universe[pick % size]  # a repeated pick re-offers a shown fact
         changed = suite.offer(fact(q))
-        assert mapped.offer(fact(q)) == changed
         offered.append(q)
         member = suite.knows_many(universe)
-        assert np.array_equal(mapped.knows_many(universe), member)
         moved: set[str] = set()
         for e, values in enumerate(value_functions):
             now = {p for p, bit in zip(universe, member[:, e]) if bit}
@@ -220,7 +234,7 @@ def test_value_offers_name_the_newcomer_then_each_evictee_in_expert_order() -> N
         universe = [f"q{i}" for i in range(rng.randrange(2, 16))]
         n, m = rng.randrange(1, 7), rng.randrange(1, 4)
         table = random_value_suite(n, universe, rng.randrange(10**9))
-        value_functions = table.value_functions()
+        value_functions = [table.value_function(e) for e in range(n)]
         suites = [ThresholdValueSuite(table, m), SimulatedValueSuite(table, m)]
         offered: list[str] = []
         for _ in range(30):
@@ -238,8 +252,8 @@ def test_value_offers_name_the_newcomer_then_each_evictee_in_expert_order() -> N
 
 
 def test_true_mistake_update_examples() -> None:
-    vfs = [vf(q1=2, q2=1), vf(q1=1, q2=2), vf(q1=3, q2=1)]
-    suite = SimulatedValueSuite(vfs, capacity=1)
+    table = ValueTable.from_mappings([{"q1": 2, "q2": 1}, {"q1": 1, "q2": 2}, {"q1": 3, "q2": 1}])
+    suite = SimulatedValueSuite(table, capacity=1)
     assert list(~suite.knows("q1")) == [1, 1, 1]
     suite.offer(fact("q1"))
     assert list(~suite.knows("q1")) == [0, 0, 0]
@@ -367,7 +381,7 @@ class TestValueTable:
         expected = _dict_random_value_suite(n, universe, seed)
         for e in range(n):
             assert dict(zip(table.universe, table.values[e].tolist())) == expected[e]
-            assert table.value_function(e).values == expected[e]
+            assert table.value_function(e) == expected[e]
 
     def test_rejects_non_natural_values(self) -> None:
         with pytest.raises(ValueError, match=">= 1"):
@@ -393,8 +407,8 @@ class TestValueTable:
             ValueTable(["a", "b"], [1, 2])
         with pytest.raises(ValueError):
             ValueTable(["a", "b", "c"], [[1, 2]])
-        with pytest.raises(ValueError, match="rectangular"):
-            ValueTable.from_mappings([{"a": 1, "b": 2}, {"a": 1, "c": 2}])
+        with pytest.raises(ValueError, match="no question is scored by every expert"):
+            ValueTable.from_mappings([{"a": 1, "b": 2}, {"c": 1}])
 
     def test_table_is_read_only(self) -> None:
         table = random_value_suite(3, ["a", "b", "c"], seed=1)
@@ -454,13 +468,12 @@ class TestValueTable:
 
 
 def test_simulation_backing_reads_the_shared_table(monkeypatch) -> None:
-    # A rectangular panel on the simulation backing makes no per-expert
-    # mapping from its table: the suite and value-lazy hold the one array.
+    # The simulation backing makes no per-expert mapping from its table:
+    # the suite and value-lazy hold the one array.
     def no_mappings(*args, **kwargs):
         raise AssertionError("a per-expert value mapping was built")
 
     monkeypatch.setattr(ValueTable, "value_function", no_mappings)
-    monkeypatch.setattr(ValueFunction, "__post_init__", no_mappings)
     config = RunConfig(
         learner="value-lazy",
         adversary="random:universe=12,T=50,seed=3",
@@ -477,7 +490,7 @@ def test_simulation_backing_reads_the_shared_table(monkeypatch) -> None:
     for event in adversary.stream:
         suite.offer(fact(event.question))
         suite.knows(event.question)
-    with pytest.raises(KeyError, match="expert 0 declares no value"):
+    with pytest.raises(KeyError, match="'q12' is outside the declared universe"):
         suite.knows("q12")
 
 

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import random
 
 import numpy as np
 import pytest
@@ -27,7 +28,7 @@ from factgame.harness import (
     run_game,
     sweep,
 )
-from factgame.experts import SimulatedValueSuite, ThresholdValueSuite
+from factgame.experts import SimulatedValueSuite, ThresholdValueSuite, dump_expert_suite
 from factgame.invariants import verify
 from factgame.model import CSV_HEADER, TEACH, GameLedger, Stream, evaluate, teach
 
@@ -303,20 +304,16 @@ class TestConfigErrors:
         with pytest.raises(ConfigError, match="unknown option"):
             build_suite(config, build_adversary(config))
 
-    def test_ragged_suite_file_has_no_threshold_backing(self, tmp_path) -> None:
-        suite_path = tmp_path / "ragged.suite"
-        suite_path.write_text(
-            "expert e0 value q0 1\nexpert e0 value q1 2\nexpert e1 value q0 3\n"
-        )
-        for learner, backing in (("lazy", "threshold"), ("value-lazy", "auto")):
-            config = RunConfig(
-                learner=learner,
-                adversary="random:universe=2,T=10",
-                experts=str(suite_path),
-                oracle_backing=backing,
-            )
-            with pytest.raises(ConfigError):
-                run_game(config)
+    def test_value_panel_without_a_question(self, tmp_path) -> None:
+        disjoint = tmp_path / "disjoint.suite"
+        disjoint.write_text("expert e0 value q0 1\nexpert e1 value q1 1\n")
+        for experts, message in (
+            ("values:N=3,universe=0", "universe must be >= 1"),
+            (str(disjoint), "no question is scored by every expert"),
+        ):
+            config = RunConfig(learner="lazy", adversary="random:universe=2,T=10", experts=experts)
+            with pytest.raises(ConfigError, match=message):
+                build_suite(config, build_adversary(config))
 
     def test_missing_files(self, tmp_path) -> None:
         with pytest.raises(ConfigError):
@@ -351,6 +348,39 @@ def test_expert_suite_file_run(tmp_path) -> None:
     ledger, report = run_game(config)
     assert len(ledger) == 4
     assert report.passed
+
+
+def test_ragged_suite_file_plays_its_shared_questions(tmp_path, capsys) -> None:
+    # Four experts share q0..q7; expert e scores e further questions of its
+    # own. The panel is the table over the shared questions, on either
+    # backing and for value-lazy.
+    rng = random.Random(4)
+    panel = {}
+    for e in range(4):
+        questions = [f"q{i}" for i in range(8)] + [f"x{e}.{k}" for k in range(e)]
+        panel[f"e{e}"] = dict(zip(questions, rng.sample(range(1, 100), len(questions))))
+    suite_path = tmp_path / "ragged.suite"
+    with open(suite_path, "w", encoding="utf-8") as out:
+        dump_expert_suite(panel, out)
+    run = ["run", "--experts", str(suite_path), "--M", "2"]
+    shared = ["--adversary", "random:universe=8,T=300,seed=5"]
+    for learner in ("lazy", "mwu", "full-sim"):
+        outputs = []
+        for backing in ("simulation", "threshold"):
+            csv, summary = tmp_path / f"{backing}.csv", tmp_path / f"{backing}.txt"
+            argv = ["--learner", learner, "--backing", backing, "--csv", str(csv),
+                    "--summary", str(summary)]
+            assert main([*run, *shared, *argv]) == 0
+            outputs.append((csv.read_bytes(), summary.read_bytes()))
+        assert outputs[0] == outputs[1], learner
+    capsys.readouterr()
+    assert main([*run, *shared, "--learner", "value-lazy", "--check-bounds"]) == 0
+    out = capsys.readouterr().out
+    assert "bounds_passed: yes" in out
+    assert "threshold_underestimates: PASS" in out
+    outside = ["--adversary", "random:universe=9,T=300,seed=5", "--learner", "lazy"]
+    assert main([*run, *outside]) == 2
+    assert "stream question 'q8' is outside the expert suite" in capsys.readouterr().err
 
 
 def test_stream_file_rebinding_a_question_is_a_config_error(tmp_path, capsys) -> None:
@@ -409,6 +439,7 @@ class TestCli:
         cases = {
             "teach_fraction": ["--learner", "lazy", "--adversary", "random:universe=4,T=9,teach=2"],
             "universe_size": ["--learner", "lazy", "--adversary", "random:universe=0,T=9"],
+            "length must be >= 0": ["--learner", "lazy", "--adversary", "random:universe=4,T=-5"],
             "malformed event": ["--learner", "lazy", "--adversary", f"file:{bad_stream}"],
             "gamma": ["--learner", "mwu", "--gamma", "1.5", "--adversary", "random:universe=4,T=9"],
         }

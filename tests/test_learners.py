@@ -11,7 +11,6 @@ from factgame.adversaries import random_stream
 from factgame.experts import (
     SimulatedValueSuite,
     ThresholdValueSuite,
-    ValueFunction,
     ValueTable,
     build_scripted_suite,
     random_value_suite,
@@ -315,14 +314,14 @@ class TestLazy:
         learner.observe_evaluation("q")
         # 3 active <= 3 * 1 bad: the removal fires on the boundary
         assert list(learner.active) == [True, True, False]
-        assert learner.n_active == 2
+        assert learner.active_count == 2
 
     def test_no_removal_above_the_boundary(self) -> None:
         suite = StubSuite(4)
         learner = LazyLearner(suite, capacity=1)
         suite.set("q", [True, True, True, False])
         learner.observe_evaluation("q")
-        assert learner.n_active == 4  # 4 > 3 * 1
+        assert learner.active_count == 4  # 4 > 3 * 1
 
     # value-lazy shares the deactivation rule: pin the same boundary there,
     # driving it with hand-set error counts and a parked (unstored) question.
@@ -332,14 +331,14 @@ class TestLazy:
         learner.observe_evaluation("z")
         # 3 active <= 3 * 1 bad: the removal fires on the boundary
         assert list(learner.active) == [False, True, True]
-        assert learner.n_active == 2
+        assert learner.active_count == 2
         assert learner.generation == 1
 
     def test_value_lazy_no_removal_above_the_boundary(self) -> None:
         learner = make_value_lazy([{"z": 1}] * 4, capacity=1)
         learner.errors[:] = [learner.M, 0, 0, 0]
         learner.observe_evaluation("z")
-        assert learner.n_active == 4  # 4 > 3 * 1
+        assert learner.active_count == 4  # 4 > 3 * 1
         assert learner.generation == 0
 
     def test_hard_reset_reactivates_everyone(self) -> None:
@@ -347,7 +346,7 @@ class TestLazy:
         learner = LazyLearner(suite, capacity=1)
         suite.set("q", [False, False])
         learner.observe_evaluation("q")
-        assert learner.n_active == 2
+        assert learner.active_count == 2
         assert list(learner.errors) == [0, 0]
         assert list(learner.active) == [True, True]
 
@@ -355,7 +354,7 @@ class TestLazy:
         suite = StubSuite(3)
         learner = LazyLearner(suite, capacity=2)
         learner.active[2] = False
-        learner.n_active = 2
+        learner.active_count = 2
         suite.set("q", [True, True, False])
         learner.observe_evaluation("q")
         assert list(learner.errors) == [0, 0, 1]
@@ -384,24 +383,24 @@ _mwu_weights = MwuLearner.weights
 
 
 def _drop_bad_experts_below_the_boundary(self):
-    # Deactivation at n_active < 3 * nbad, which for integers is the rule
-    # read with one more active expert.
-    n_active, generation = self.n_active, self.generation
-    self.n_active += 1
+    # Deactivation at active_count < 3 * nbad, which for integers is the
+    # rule read with one more active expert.
+    active_count, generation = self.active_count, self.generation
+    self.active_count += 1
     _drop_bad_experts(self)
     if self.generation == generation:
-        self.n_active = n_active
+        self.active_count = active_count
 
 
 def _dropping_majority_ties(update_memory):
-    # A fact goes at 2 * c <= n_active: the rule read with one more active
-    # expert, which the memory phase reads only for that test.
+    # A fact goes at 2 * c <= active_count: the rule read with one more
+    # active expert, which the memory phase reads only for that test.
     def planted(self, question, answer, changed=None):
-        self.n_active += 1
+        self.active_count += 1
         try:
             update_memory(self, question, answer, changed)
         finally:
-            self.n_active -= 1
+            self.active_count -= 1
 
     return planted
 
@@ -591,7 +590,7 @@ def test_value_lazy_matches_naive_reference_on_random_streams() -> None:
         table = random_value_suite(n, universe, trial + 7)
         stream = random_stream(universe_size, 350, rng.choice([0.3, 0.5, 0.8]), trial)
         fast = ValueLazyLearner(table, capacity)
-        slow = NaiveValueLazy(table.value_functions(), capacity)
+        slow = NaiveValueLazy([table.value_function(e) for e in range(n)], capacity)
         for event in stream:
             if event.is_evaluate:
                 fast.observe_evaluation(event.question)
@@ -627,7 +626,7 @@ def test_value_lazy_pool_counts_match_brute_force(n, capacity, universe, seed, e
     names = [f"q{i}" for i in range(universe)]
     table = random_value_suite(n, names, seed)
     fast = ValueLazyLearner(table, capacity)
-    slow = NaiveValueLazy(table.value_functions(), capacity)
+    slow = NaiveValueLazy([table.value_function(e) for e in range(n)], capacity)
     values = table.values
     taught: dict = {}
     for is_teach, i in events:
@@ -801,11 +800,10 @@ def test_majority_kept_set_is_at_most_twice_capacity(n, capacity, data) -> None:
 
 class TestBaselines:
     def test_full_sim_mirrors_union(self) -> None:
-        vfs = [
-            ValueFunction({"a": 4, "b": 3, "c": 2, "d": 1}),
-            ValueFunction({"a": 1, "b": 2, "c": 3, "d": 4}),
-        ]
-        suite = SimulatedValueSuite(vfs, capacity=2)
+        table = ValueTable.from_mappings(
+            [{"a": 4, "b": 3, "c": 2, "d": 1}, {"a": 1, "b": 2, "c": 3, "d": 4}]
+        )
+        suite = SimulatedValueSuite(table, capacity=2)
         learner = FullSimLearner(suite)
         for q in ("a", "b", "c", "d"):
             suite.offer(Fact(q, "ans"))
@@ -814,8 +812,8 @@ class TestBaselines:
         assert set(learner.memory) == {"a", "b", "c", "d"}
 
     def test_full_sim_identical_experts_store_capacity(self) -> None:
-        vfs = [ValueFunction({"a": 1, "b": 2, "c": 3})] * 3
-        suite = SimulatedValueSuite(list(vfs), capacity=1)
+        table = ValueTable.from_mappings([{"a": 1, "b": 2, "c": 3}] * 3)
+        suite = SimulatedValueSuite(table, capacity=1)
         learner = FullSimLearner(suite)
         for q in ("a", "b", "c"):
             suite.offer(Fact(q, "ans"))
