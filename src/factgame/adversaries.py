@@ -46,8 +46,19 @@ class FixedStreamAdversary(Adversary):
 
 
 def random_stream(universe_size: int, length: int, teach_fraction: float, seed: int) -> Stream:
-    """Seeded random sequential stream: teaches draw uniformly from the
-    universe, evaluates draw uniformly from the already-taught questions."""
+    """Seeded random sequential stream over the questions ``q0 .. q{U-1}``
+    (question ``q<i>`` answered ``a<i>``): each step teaches with
+    probability ``teach_fraction`` (always while nothing is taught yet), a
+    question drawn uniformly from the universe, and otherwise evaluates one
+    drawn uniformly from the questions taught so far, in first-teach order.
+
+    The draws are ``rng.random()`` and ``rng.randrange(n)`` of one
+    ``random.Random(seed)``; ``randrange`` runs inline as the
+    ``getrandbits`` rejection loop it makes, so the stream is the same
+    draw for draw. Each (kind, question) has one immutable :class:`Event`,
+    built when the question is first taught and shared by every step that
+    shows it.
+    """
     if not 0.0 <= teach_fraction <= 1.0:
         raise ValueError("teach_fraction must lie in [0, 1]")
     if universe_size < 1:
@@ -55,21 +66,29 @@ def random_stream(universe_size: int, length: int, teach_fraction: float, seed: 
     if length < 0:
         raise ValueError(f"length must be >= 0, got {length}")
     rng = random.Random(seed)
-    questions = [f"q{i}" for i in range(universe_size)]
-    answers = {q: f"a{i}" for i, q in enumerate(questions)}
-    taught: list[str] = []
-    taught_set: set[str] = set()
+    draw, getrandbits = rng.random, rng.getrandbits
+    k = universe_size.bit_length()
+    teaches: list[Event | None] = [None] * universe_size
+    evaluates: list[Event] = []  # one per taught question, in first-teach order
     events: list[Event] = []
+    append = events.append
     for _ in range(length):
-        if not taught or rng.random() < teach_fraction:
-            q = questions[rng.randrange(universe_size)]
-            events.append(teach(q, answers[q]))
-            if q not in taught_set:
-                taught_set.add(q)
-                taught.append(q)
+        if not evaluates or draw() < teach_fraction:
+            i = getrandbits(k)  # rng.randrange(universe_size)
+            while i >= universe_size:
+                i = getrandbits(k)
+            event = teaches[i]
+            if event is None:
+                event = teaches[i] = teach(f"q{i}", f"a{i}")
+                evaluates.append(evaluate(event.question, event.answer))
+            append(event)
         else:
-            q = taught[rng.randrange(len(taught))]
-            events.append(evaluate(q, answers[q]))
+            n = len(evaluates)
+            bits = n.bit_length()
+            j = getrandbits(bits)  # rng.randrange(n)
+            while j >= n:
+                j = getrandbits(bits)
+            append(evaluates[j])
     return Stream(tuple(events), sequential=True)
 
 

@@ -167,7 +167,6 @@ class ScriptedPolicy:
             raise ValueError("capacity must be >= 1")
         self.capacity = capacity
         self._memory: "OrderedDict[QuestionId, Fact]" = OrderedDict()
-        self._shown = 0
 
     def offer(self, fact: Fact) -> tuple[QuestionId, ...]:
         raise NotImplementedError
@@ -180,7 +179,6 @@ class KeepLastPolicy(ScriptedPolicy):
     """Retain the most recently shown distinct facts; re-shows refresh."""
 
     def offer(self, fact: Fact) -> tuple[QuestionId, ...]:
-        self._shown += 1
         if fact.question in self._memory:
             self._memory.move_to_end(fact.question)
             return ()
@@ -195,7 +193,6 @@ class KeepFirstPolicy(ScriptedPolicy):
     """Retain the first distinct facts shown; never evict."""
 
     def offer(self, fact: Fact) -> tuple[QuestionId, ...]:
-        self._shown += 1
         if fact.question in self._memory or len(self._memory) >= self.capacity:
             return ()
         self._memory[fact.question] = fact
@@ -212,6 +209,7 @@ class StridePolicy(ScriptedPolicy):
             raise ValueError("stride must be >= 1")
         self.stride = stride
         self.offset = offset % stride
+        self._shown = 0  # facts offered so far
 
     def offer(self, fact: Fact) -> tuple[QuestionId, ...]:
         index = self._shown
@@ -508,24 +506,64 @@ class ScriptedSuite:
 ExpertSuite = SimulatedValueSuite | ThresholdValueSuite | ScriptedSuite
 
 
+_STAGING_BYTES = 256 * 1024  # the row-major block random_value_suite fills
+
+
+def _shuffle(x: list, rng: random.Random) -> None:
+    """``rng.shuffle(x)``, draw for draw, without a Python call per element.
+
+    ``Random.shuffle`` swaps each ``x[i]``, ``i`` from ``len(x) - 1`` down
+    to 1, with ``x[j]``, ``j = rng._randbelow(i + 1)``: ``getrandbits(k)``
+    with ``k = (i + 1).bit_length()``, drawn again until it is at most
+    ``i``. This runs that loop inline, one bit length at a time, so the
+    generator makes the same calls in the same order, and ``x`` and the
+    generator end as ``rng.shuffle`` leaves them.
+    """
+    getrandbits = rng.getrandbits
+    top = len(x)  # i + 1 for the next index to place
+    while top > 1:
+        k = top.bit_length()
+        low = 1 << (k - 1)  # the smallest i + 1 of bit length k
+        for i in range(top - 1, low - 2, -1):
+            j = getrandbits(k)
+            while j > i:
+                j = getrandbits(k)
+            x[i], x[j] = x[j], x[i]
+        top = low - 1
+
+
 def random_value_suite(
     n_experts: int, universe: Sequence[QuestionId], seed: int
 ) -> ValueTable:
-    """One independent random injective scoring per expert (a permutation of
-    1..|universe| over ``universe`` in the given order), deterministic in the
-    seed. Columns follow ``sorted(universe, key=str)``."""
+    """One independent random injective scoring per expert, deterministic in
+    the seed: expert ``e``'s values over ``universe``, in the given order,
+    are the list ``[1, ..., |universe|]`` after the ``e``-th of ``n_experts``
+    successive ``shuffle`` calls on one ``random.Random(seed)`` (reproduced
+    draw for draw by :func:`_shuffle`). Columns follow
+    ``sorted(universe, key=str)``.
+
+    Shuffled rows are staged row-major, in blocks of at most 256 KiB (one
+    row when a row is larger), and each block is copied into the
+    question-major table with its columns put in table order: writing each
+    row straight into that table would stride through all of it per row.
+    """
     rng = random.Random(seed)
     u = len(universe)
     order = sorted(range(u), key=lambda i: str(universe[i]))
-    position = np.empty(u, dtype=np.int64)  # column of universe[i]
-    position[order] = np.arange(u)
+    columns = np.array(order, dtype=np.int64)  # column c holds universe[order[c]]
+    ranks = list(range(1, u + 1))
     # Question-major, as ValueTable stores it: the table takes this array
     # over, where a row-major one would be copied (a second N x U array).
     values = np.empty((n_experts, u), dtype=np.int64, order="F")
-    for e in range(n_experts):
-        scores = list(range(1, u + 1))
-        rng.shuffle(scores)
-        values[e, position] = scores
+    per = max(1, _STAGING_BYTES // (8 * max(u, 1)))
+    block = np.empty((min(per, n_experts), u), dtype=np.int64)
+    for lo in range(0, n_experts, per):
+        hi = min(lo + per, n_experts)
+        for r in range(hi - lo):
+            scores = ranks.copy()
+            _shuffle(scores, rng)
+            block[r] = scores
+        values[lo:hi] = block[: hi - lo, columns]
     return ValueTable([universe[i] for i in order], values)
 
 

@@ -414,7 +414,7 @@ def run_game(config: RunConfig) -> tuple[GameLedger, BoundReport]:
     last_generation = learner.generation
 
     ledger = GameLedger(suite.n)
-    phi: dict[QuestionId, object] = {}
+    facts: dict[QuestionId, Fact] = {}  # each question's first-bound fact
     memory_view = learner.memory.keys()  # live read-only view for the adversary
 
     while True:
@@ -423,12 +423,16 @@ def run_game(config: RunConfig) -> tuple[GameLedger, BoundReport]:
             break
         question = event.question
         answer = event.answer
-        if answer is None:
-            answer = phi.get(question)
-        elif phi.setdefault(question, answer) != answer:
+        fact = facts.get(question)
+        if fact is None:
+            if answer is not None:
+                fact = facts[question] = Fact(question, answer)
+        elif answer is None:
+            answer = fact.answer
+        elif fact.answer != answer:
             raise ConfigError(
                 f"stream rebinds question {question!r}: "
-                f"{phi[question]!r} vs {answer!r}"
+                f"{fact.answer!r} vs {answer!r}"
             )
         violation = False
         if event.kind == EVALUATE:
@@ -449,9 +453,9 @@ def run_game(config: RunConfig) -> tuple[GameLedger, BoundReport]:
         else:
             expert_costs = None
             cost = 0
-        if answer is not None:
+        if fact is not None:
             try:
-                changed = suite.offer(Fact(question, answer))
+                changed = suite.offer(fact)
             except KeyError as err:
                 raise _undeclared_question(question, err) from None
         else:

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import gc
 import io
+import random
 
 import numpy as np
 import pytest
@@ -15,10 +16,52 @@ from factgame.adversaries import (
 from factgame.experts import SimulatedValueSuite
 from factgame.harness import RunConfig, build_adversary, build_learner, build_suite, run_game
 from factgame.invariants import forced_floor_failures
-from factgame.model import dump_stream, validate_sequential
+from factgame.model import Stream, dump_stream, evaluate, teach, validate_sequential
+
+
+def _reference_random_stream(universe_size, length, teach_fraction, seed) -> Stream:
+    """Reference: the generator as first written, one Event built per step."""
+    rng = random.Random(seed)
+    questions = [f"q{i}" for i in range(universe_size)]
+    answers = {q: f"a{i}" for i, q in enumerate(questions)}
+    taught: list[str] = []
+    taught_set: set[str] = set()
+    events = []
+    for _ in range(length):
+        if not taught or rng.random() < teach_fraction:
+            q = questions[rng.randrange(universe_size)]
+            events.append(teach(q, answers[q]))
+            if q not in taught_set:
+                taught_set.add(q)
+                taught.append(q)
+        else:
+            q = taught[rng.randrange(len(taught))]
+            events.append(evaluate(q, answers[q]))
+    return Stream(tuple(events), sequential=True)
 
 
 class TestRandomStream:
+    @pytest.mark.parametrize(
+        "universe,length,teach_fraction",
+        [(16, 2000, 0.5), (300, 3000, 0.0), (300, 3000, 1.0), (1, 50, 0.5),
+         (5, 0, 0.5), (2000, 4000, 0.9), (130, 5000, 0.2)],
+    )
+    @pytest.mark.parametrize("seed", [0, 3, 2**40 + 1])
+    def test_matches_the_reference_generator(self, universe, length, teach_fraction, seed) -> None:
+        got = random_stream(universe, length, teach_fraction, seed)
+        expected = _reference_random_stream(universe, length, teach_fraction, seed)
+        assert [(e.kind, e.question, e.answer) for e in got] == [
+            (e.kind, e.question, e.answer) for e in expected
+        ]
+        assert got.sequential == expected.sequential
+
+    def test_steps_showing_one_question_share_one_event(self) -> None:
+        stream = random_stream(8, 400, 0.5, seed=2)
+        shared = {}
+        for event in stream:
+            assert shared.setdefault((event.kind, event.question), event) is event
+        assert len(shared) == 16  # every question taught and evaluated
+
     def test_all_teach_means_no_mistakes_for_anyone(self) -> None:
         stream = random_stream(8, 200, teach_fraction=1.0, seed=4)
         assert all(not e.is_evaluate for e in stream)

@@ -16,6 +16,7 @@ from factgame.experts import (
     StridePolicy,
     ThresholdValueSuite,
     ValueTable,
+    _shuffle,
     build_scripted_suite,
     dump_expert_suite,
     load_expert_suite,
@@ -357,6 +358,33 @@ def test_random_value_suite_deterministic_and_injective() -> None:
         assert sorted(row) == list(range(1, 11))
 
 
+SHUFFLE_LENGTHS = [*range(301), 511, 512, 513, 1023, 1024, 1025, 20000]
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2**32 + 5])
+def test_shuffle_matches_random_shuffle_draw_for_draw(seed) -> None:
+    for length in SHUFFLE_LENGTHS:
+        expected, got = list(range(length)), list(range(length))
+        reference, rng = random.Random(seed), random.Random(seed)
+        reference.shuffle(expected)
+        _shuffle(got, rng)
+        assert got == expected, length
+        # The generator made the same draws: its next output is the same.
+        assert rng.random() == reference.random(), length
+
+
+def test_shuffle_twice_from_one_generator() -> None:
+    reference, rng = random.Random(11), random.Random(11)
+    for length in (1000, 37, 20000):
+        expected, got = list(range(length)), list(range(length))
+        reference.shuffle(expected)
+        reference.shuffle(expected)
+        _shuffle(got, rng)
+        _shuffle(got, rng)
+        assert got == expected, length
+        assert rng.random() == reference.random()
+
+
 def _dict_random_value_suite(n_experts, universe, seed) -> list[dict]:
     """Reference: the per-expert dict construction the table replaces."""
     rng = random.Random(seed)
@@ -369,7 +397,11 @@ def _dict_random_value_suite(n_experts, universe, seed) -> list[dict]:
 
 
 class TestValueTable:
-    @pytest.mark.parametrize("n,size,seed", [(1, 1, 0), (3, 12, 5), (7, 23, 11), (4, 101, 2)])
+    # 300 x 1024 fills nine 32-row staging blocks and a partial tenth.
+    @pytest.mark.parametrize(
+        "n,size,seed",
+        [(1, 1, 0), (3, 12, 5), (7, 23, 11), (4, 101, 2), (6, 2, 3), (300, 1024, 7)],
+    )
     def test_random_table_matches_dict_construction(self, n, size, seed) -> None:
         universe = [f"q{i}" for i in range(size)]
         random.Random(seed).shuffle(universe)  # input order need not be column order
