@@ -30,7 +30,7 @@ from factgame.harness import (
 )
 from factgame.experts import SimulatedValueSuite, ThresholdValueSuite, dump_expert_suite
 from factgame.invariants import verify
-from factgame.model import CSV_HEADER, TEACH, GameLedger, Stream, evaluate, teach
+from factgame.model import CSV_HEADER, TEACH, Fact, GameLedger, Stream, evaluate, teach
 
 
 def small_stream(*events) -> Stream:
@@ -394,6 +394,35 @@ def test_stream_file_rebinding_a_question_is_a_config_error(tmp_path, capsys) ->
         argv += [f"--{key}", value]
     assert main(argv) == 2
     assert "rebinds question" in capsys.readouterr().err
+
+
+def test_every_offer_of_a_question_passes_its_first_bound_fact(tmp_path, monkeypatch) -> None:
+    stream_path = tmp_path / "stream.txt"
+    stream_path.write_text("T q1 a1\nE q1\nT q2 a2\nT q1 a1\nE q2\n")
+    offered: dict[str, list[Fact]] = {}
+    build = harness.build_suite
+
+    def recording(config, adversary):
+        suite, ids, table = build(config, adversary)
+        offer = suite.offer
+
+        def record(fact):
+            offered.setdefault(fact.question, []).append(fact)
+            return offer(fact)
+
+        suite.offer = record
+        return suite, ids, table
+
+    monkeypatch.setattr(harness, "build_suite", recording)
+    config = RunConfig(
+        learner="lazy", adversary=f"file:{stream_path}", experts="scripted:recency,N=2", capacity=2
+    )
+    run_game(config)
+    # An evaluate read from a file carries no answer: it offers the taught fact.
+    assert {q: len(facts) for q, facts in offered.items()} == {"q1": 3, "q2": 2}
+    for q, facts in offered.items():
+        assert facts[0] == Fact(q, "a" + q[1:])
+        assert all(f is facts[0] for f in facts)
 
 
 class TestCli:
