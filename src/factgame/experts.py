@@ -39,11 +39,10 @@ timing is the caller's contract):
   ``active`` store q; ``token`` names the mask's version, so a suite may
   cache per-mask aggregates between calls with an equal token;
 * ``offer(fact)``: show one fact to every expert; returns the questions whose
-  membership moved, each once, and ``()`` when none moved. Every suite here
-  returns such a tuple (a value suite names the newcomer first, then each
-  evicted question in the order of the first expert evicting it); only a
-  caller-supplied suite may return None, meaning any membership may have
-  moved, and learners then recompute their memory phase in full. A value
+  membership moved, each once, and ``()`` when none moved (a value suite
+  names the newcomer first, then each evicted question in the order of the
+  first expert evicting it). Learners update their memory phase from this
+  tuple alone, so a suite must name every question that moved. A value
   suite raises KeyError for a question outside its table, and ValueError
   for an answer other than the one a question was first shown with.
 
@@ -62,6 +61,9 @@ import numpy as np
 from .model import Answer, Fact, QuestionId
 
 SENTINEL_VALUE = 0  # below every legal score; legal scores are integers >= 1
+# The row-major blocks that table validation sorts and random_value_suite
+# fills: at most this many bytes, or one row when a row is larger.
+_STAGING_BYTES = 256 * 1024
 
 
 class ValueTable:
@@ -107,12 +109,14 @@ class ValueTable:
                     f"expert {e}: value for {self.universe[c]!r} must be an "
                     f"integer >= 1, got {array[e, c]}"
                 )
-            # Rows are sorted 64 at a time: one sorted copy of the whole
-            # table would double the memory that building it takes. Each
-            # block is a row-major copy (np.array always copies), so the
-            # sort runs along contiguous rows and never touches the table.
-            for lo in range(0, n, 64):
-                ordered = np.array(array[lo:lo + 64], order="C")
+            # Rows are sorted a staging block at a time: one sorted copy of
+            # the whole table would double the memory that building it
+            # takes. Each block is a row-major copy (np.array always
+            # copies), so the sort runs along contiguous rows and never
+            # touches the table.
+            per = max(1, _STAGING_BYTES // (8 * u))
+            for lo in range(0, n, per):
+                ordered = np.array(array[lo:lo + per], order="C")
                 ordered.sort(axis=1)
                 repeats = ordered[:, 1:] == ordered[:, :-1]
                 if repeats.any():
@@ -319,10 +323,6 @@ class SimulatedValueSuite:
     def count_active(self, question: QuestionId, active: np.ndarray, token: object = None) -> int:
         return int((self._holders(question) & active).sum())
 
-    def union_memory(self) -> set[Fact]:
-        answers = self._answers
-        return {Fact(q, answers[q]) for memory in self._memory for q in memory}
-
     def true_thresholds(self) -> np.ndarray:
         return self._cutoffs.copy()
 
@@ -344,6 +344,8 @@ class ThresholdValueSuite:
     backing = "threshold"
 
     def __init__(self, table: ValueTable, capacity: int):
+        if capacity < 1:
+            raise ValueError("capacity must be >= 1")
         self.capacity = capacity
         self.table = table
         self.values = table.values
@@ -407,14 +409,6 @@ class ThresholdValueSuite:
 
     def true_thresholds(self) -> np.ndarray:
         return self._cut.copy()
-
-    def union_memory(self) -> set[Fact]:
-        seen_cols = np.flatnonzero(self._seen)
-        if not seen_cols.size:
-            return set()
-        anyone = (self.values[:, seen_cols] >= self._cut[:, None]).any(axis=0)
-        universe = self.table.universe
-        return {Fact(universe[c], self._answers[c]) for c in seen_cols[anyone]}
 
 
 class ScriptedSuite:
@@ -495,18 +489,8 @@ class ScriptedSuite:
                 total += self._mult[i]
         return total
 
-    def union_memory(self) -> set[Fact]:
-        out: set[Fact] = set()
-        # A policy that backs no expert holds no expert's memory.
-        for i in np.unique(self.expert_policy).tolist():
-            out.update(self.policies[i].memory())
-        return out
-
 
 ExpertSuite = SimulatedValueSuite | ThresholdValueSuite | ScriptedSuite
-
-
-_STAGING_BYTES = 256 * 1024  # the row-major block random_value_suite fills
 
 
 def _shuffle(x: list, rng: random.Random) -> None:

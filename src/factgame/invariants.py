@@ -149,9 +149,9 @@ def check_backings_agree(seed: int, rounds: int) -> tuple[bool, str]:
             moved = {p for p, row in zip(qs, before != after) if row.any()}
             before = after
             for backing, changed in returned.items():
-                named = set(changed or ())
-                if changed is None or len(named) != len(changed):
+                if not isinstance(changed, tuple) or len(set(changed)) != len(changed):
                     return False, f"{backing} offer returned {changed} after teaching {taught}"
+                named = set(changed)
                 if not moved <= named:
                     return False, (
                         f"{backing} offer left {sorted(moved - named)} out "

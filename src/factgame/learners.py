@@ -11,9 +11,9 @@ Every learner advances in two phases per step, mirroring the game loop:
 
 Four algorithms plus a strawman: multiplicative weights over exact error
 counts, the lazy scheme that keeps 0/1 weights and deactivates experts in
-bulk, its value-threshold variant that estimates expert memories from value
-functions instead of querying the suite, the store-everything union baseline,
-and a random-eviction strawman for lower-bound experiments.
+bulk, its value-threshold variant that estimates expert memories from the
+shared value table instead of querying the suite, the store-everything
+union baseline, and a random-eviction strawman for lower-bound experiments.
 """
 
 from __future__ import annotations
@@ -62,19 +62,15 @@ class Learner:
     def question_memory_size(self) -> int:
         return 0
 
-    def observe_evaluation(self, question: QuestionId, know: np.ndarray | None = None) -> None:
-        """Evaluation phase; ``know`` optionally carries the per-expert
-        membership vector already computed for cost assessment."""
+    def observe_evaluation(self, question: QuestionId, know: np.ndarray) -> None:
+        """Evaluation phase; ``know`` is the per-expert membership vector
+        already computed for cost assessment."""
 
     def update_memory(
-        self,
-        question: QuestionId,
-        answer: Answer | None,
-        changed: Sequence[QuestionId] | None = None,
+        self, question: QuestionId, answer: Answer | None, changed: Sequence[QuestionId]
     ) -> None:
-        """Memory phase. ``changed`` lists the questions whose expert
-        membership moved during this step's expert update; None means any
-        membership may have moved."""
+        """Memory phase. ``changed`` is what the suite's ``offer`` returned
+        for this step: each question whose expert membership moved, once."""
         raise NotImplementedError
 
 
@@ -84,13 +80,10 @@ class MwuLearner(Learner):
     it carry at least half of the total weight.
 
     The stored facts' membership rows are kept as one matrix in memory
-    order, a memo of suite answers refreshed through the ``changed``
-    contract: one suite call per step over the changed stored questions
-    plus a newly stored fact (``knows`` for one question, ``knows_many`` for
-    more). Every built-in suite names each moved question once, on every
-    backing; only a suite returning ``changed=None`` costs ``knows_many`` over
-    every stored fact. The memo is not learner state, so ``aux_state_count``
-    omits it.
+    order, a memo of suite answers refreshed through ``changed``: one suite
+    call per step over the changed stored questions plus a newly stored fact
+    (``knows`` for one question, ``knows_many`` for more). The memo is not
+    learner state, so ``aux_state_count`` omits it.
     The weights and the half-weight threshold are cached until the next
     evaluation. A step that changes neither the weights nor the matrix, after
     a test that kept every row, re-tests nothing: the product would come out
@@ -126,9 +119,7 @@ class MwuLearner(Learner):
             self._half = 0.5 * w.sum()
         return self._weights
 
-    def observe_evaluation(self, question: QuestionId, know: np.ndarray | None = None) -> None:
-        if know is None:
-            know = self.suite.knows(question)
+    def observe_evaluation(self, question: QuestionId, know: np.ndarray) -> None:
         self.errors += ~know
         if 0 < np.count_nonzero(know) < self.n:  # a unanimous verdict shifts no weight
             self._weights = None
@@ -140,17 +131,8 @@ class MwuLearner(Learner):
             grown[:kept] = self._know[:kept]
             self._know = grown
 
-    def _refresh_all(self) -> None:
-        questions = list(self.memory)
-        self._reserve(len(questions))
-        self._know[: len(questions)] = self.suite.knows_many(questions)
-        self._row = {q: i for i, q in enumerate(questions)}
-
     def update_memory(
-        self,
-        question: QuestionId,
-        answer: Answer | None,
-        changed: Sequence[QuestionId] | None = None,
+        self, question: QuestionId, answer: Answer | None, changed: Sequence[QuestionId]
     ) -> None:
         memory = self.memory
         joined = answer is not None and question not in memory
@@ -158,21 +140,18 @@ class MwuLearner(Learner):
             memory[question] = answer
         if not memory:
             return
-        if changed is None:
-            self._refresh_all()
-        else:
-            row = self._row
-            stale = [q for q in changed if q in row]
-            if joined:
-                self._reserve(len(memory))
-                row[question] = len(row)
-                stale.append(question)
-            if len(stale) == 1:
-                self._know[row[stale[0]]] = self.suite.knows(stale[0])
-            elif stale:
-                self._know[[row[q] for q in stale]] = self.suite.knows_many(stale)
-            elif self._settled and self._weights is not None:
-                return  # same matrix, same weights: the same product keeps all
+        row = self._row
+        stale = [q for q in changed if q in row]
+        if joined:
+            self._reserve(len(memory))
+            row[question] = len(row)
+            stale.append(question)
+        if len(stale) == 1:
+            self._know[row[stale[0]]] = self.suite.knows(stale[0])
+        elif stale:
+            self._know[[row[q] for q in stale]] = self.suite.knows_many(stale)
+        elif self._settled and self._weights is not None:
+            return  # same matrix, same weights: the same product keeps all
         w = self.weights()
         know = self._know[: len(memory)]
         # exactly half the weight persists the fact
@@ -222,31 +201,25 @@ class LazyLearner(_ActiveSetLearner):
     are candidates for deactivation, and only active experts vote on which
     stored facts survive. Saver counts per stored fact are cached and
     recounted only for facts whose membership moved (the suite's
-    ``changed``, on every built-in backing) and for the step's new fact, or
-    for all of them after an active-set change or when ``changed`` is None.
+    ``changed``) and for the step's new fact, or for all of them after an
+    active-set change.
     """
 
     name = "lazy"
 
     def __init__(self, suite: ExpertSuite, capacity: int):
         super().__init__(suite.n, capacity)
-        self.suite = suite
         self._counts: dict[QuestionId, int] = {}  # savers among active, per stored fact
         self._counts_generation = self.generation
         self._count_fn = suite.count_active
         self.aux_state_count = 2 * self.n  # error counts and active flags
 
-    def observe_evaluation(self, question: QuestionId, know: np.ndarray | None = None) -> None:
-        if know is None:
-            know = self.suite.knows(question)
+    def observe_evaluation(self, question: QuestionId, know: np.ndarray) -> None:
         self.errors += ~know
         self._drop_bad_experts()
 
     def update_memory(
-        self,
-        question: QuestionId,
-        answer: Answer | None,
-        changed: Sequence[QuestionId] | None = None,
+        self, question: QuestionId, answer: Answer | None, changed: Sequence[QuestionId]
     ) -> None:
         memory = self.memory
         if answer is not None:
@@ -260,7 +233,7 @@ class LazyLearner(_ActiveSetLearner):
         active = self.active
         generation = self.generation
         counts = self._counts
-        if changed is None or generation != self._counts_generation:
+        if generation != self._counts_generation:
             self._counts = counts = {
                 q: count(q, active, generation) for q in memory
             }
@@ -403,7 +376,7 @@ class ValueLazyLearner(_ActiveSetLearner):
                 self.values[:, leaving] > self._t_vals[:, None], axis=1
             )
 
-    def observe_evaluation(self, question: QuestionId, know: np.ndarray | None = None) -> None:
+    def observe_evaluation(self, question: QuestionId, know: np.ndarray) -> None:
         if question in self.memory:
             return  # only a learner mistake triggers the weight phase
         col = self._column(question)
@@ -448,10 +421,7 @@ class ValueLazyLearner(_ActiveSetLearner):
         return fell
 
     def update_memory(
-        self,
-        question: QuestionId,
-        answer: Answer | None,
-        changed: Sequence[QuestionId] | None = None,
+        self, question: QuestionId, answer: Answer | None, changed: Sequence[QuestionId]
     ) -> None:
         if answer is not None:
             if question not in self._mem_cols:
@@ -492,9 +462,7 @@ class FullSimLearner(Learner):
 
     The union moves only through ``changed``: one ``knows_many`` call over
     those questions, where a question some expert holds joins (only the
-    step's fact can newly join) and one nobody holds leaves. Every built-in
-    suite names what moved, so the union is rebuilt from ``union_memory()``
-    only for a suite that returns ``changed=None``.
+    step's fact can newly join) and one nobody holds leaves.
     """
 
     name = "full-sim"
@@ -505,16 +473,9 @@ class FullSimLearner(Learner):
         self.fact_budget = self.n * self.M
 
     def update_memory(
-        self,
-        question: QuestionId,
-        answer: Answer | None,
-        changed: Sequence[QuestionId] | None = None,
+        self, question: QuestionId, answer: Answer | None, changed: Sequence[QuestionId]
     ) -> None:
         memory = self.memory  # in-place: the harness hands out a live view of this dict
-        if changed is None:
-            memory.clear()
-            memory.update((f.question, f.answer) for f in self.suite.union_memory())
-            return
         if not changed:
             return
         held = self.suite.knows_many(changed).any(axis=1)
@@ -542,10 +503,7 @@ class RandomEvictLearner(Learner):
         self._order: list[QuestionId] = []
 
     def update_memory(
-        self,
-        question: QuestionId,
-        answer: Answer | None,
-        changed: Sequence[QuestionId] | None = None,
+        self, question: QuestionId, answer: Answer | None, changed: Sequence[QuestionId]
     ) -> None:
         if answer is None:
             return

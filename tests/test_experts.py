@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import io
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -24,6 +25,7 @@ from factgame.experts import (
 )
 from factgame.harness import RunConfig, build_adversary, build_learner, build_suite
 from factgame.invariants import kth_largest, top_m_replay
+from factgame.learners import FullSimLearner
 from factgame.model import Fact
 
 
@@ -160,10 +162,12 @@ class TestSimulatedSuiteErrors:
                 with pytest.raises(ValueError, match="conflicting answer"):
                     suite.offer(Fact("a", "z"))
 
-    def test_capacity_below_one_rejected(self) -> None:
+    @pytest.mark.parametrize("backing", ["simulation", "threshold"])
+    def test_capacity_below_one_rejected(self, backing) -> None:
+        suite_class = {"simulation": SimulatedValueSuite, "threshold": ThresholdValueSuite}[backing]
         for capacity in (0, -1):
-            with pytest.raises(ValueError, match="capacity"):
-                SimulatedValueSuite(ValueTable.from_mappings([{"q1": 1}]), capacity=capacity)
+            with pytest.raises(ValueError, match="capacity must be >= 1"):
+                suite_class(ValueTable.from_mappings([{"q1": 1}]), capacity=capacity)
 
 
 def test_count_active_does_not_go_through_knows() -> None:
@@ -305,28 +309,42 @@ class TestScriptedPolicies:
         assert suite.knows_many([]).shape == (0, 6)
 
     def test_suite_delta_reports_every_membership_change(self) -> None:
+        # Learners update from offer's tuple alone: it must name every
+        # question whose membership moved, none twice, and be () exactly
+        # when nothing moved.
         rng = random.Random(5)
-        suite = build_scripted_suite("striped", n_experts=5, capacity=2)
         universe = [f"q{i}" for i in range(9)]
-        before = {q: suite.knows(q).copy() for q in universe}
-        for _ in range(250):
-            q = rng.choice(universe)
-            changed = set(suite.offer(fact(q)))
-            after = {p: suite.knows(p).copy() for p in universe}
-            for probe in universe:
-                if not np.array_equal(before[probe], after[probe]):
-                    assert probe in changed
-            before = after
+        for name in SCRIPTED_SUITES:
+            suite = build_scripted_suite(name, n_experts=5, capacity=2)
+            before = suite.knows_many(universe)
+            for _ in range(250):
+                changed = suite.offer(fact(rng.choice(universe)))
+                after = suite.knows_many(universe)
+                moved = {p for p, row in zip(universe, before != after) if row.any()}
+                assert isinstance(changed, tuple), name
+                assert moved <= set(changed), name
+                assert len(set(changed)) == len(changed), name
+                assert (changed == ()) == (not moved), name
+                before = after
 
     def test_union_memory_holds_only_what_some_expert_stores(self) -> None:
-        # striped has four policies; with two experts only the first two back
-        # anyone, so a fact only KeepFirst stores is in no expert's memory.
+        # full-sim's memory is the union of the expert memories. striped has
+        # four policies; with two experts only the first two back anyone, so
+        # a fact only the other two store is in no expert's memory.
         suite = build_scripted_suite("striped", n_experts=2, capacity=2)
+        learner = FullSimLearner(suite)
         universe = [f"q{i}" for i in range(6)]
+        orphans = set()  # facts that only a policy backing no expert stored
         for q in universe + universe[:3]:
-            suite.offer(fact(q))
-            union = {f.question for f in suite.union_memory()}
-            assert union == {p for p in universe if suite.knows(p).any()}
+            learner.update_memory(q, f"ans-{q}", suite.offer(fact(q)))
+            union = {p for p in universe if suite.knows(p).any()}
+            assert set(learner.memory) == union
+            assert all(learner.memory[p] == f"ans-{p}" for p in union)
+            orphans |= {
+                p for p in universe
+                if p not in union and any(p in policy._memory for policy in suite.policies[2:])
+            }
+        assert orphans
 
 
 class TestSuiteFile:
@@ -426,11 +444,28 @@ class TestValueTable:
             ValueTable(["a", "b", "c"], [[1, 2, 3], [3, 1, 3]])
         # the same value in different rows is legal
         ValueTable(["a", "b"], [[1, 2], [1, 2]])
-        # rows are checked in blocks; the error names the row in the table
-        rows = [[1, 2, 3]] * 80
-        rows[70] = [2, 2, 3]
-        with pytest.raises(ValueError, match="expert 70: .* 2 is used twice"):
-            ValueTable(["a", "b", "c"], rows)
+        # rows are checked in blocks of at most 256 KiB (eight 4096-column
+        # rows); the error names the row in the table
+        rows = np.tile(np.arange(1, 4097), (20, 1))
+        rows[17, 5] = 2
+        with pytest.raises(ValueError, match="expert 17: .* 2 is used twice"):
+            ValueTable([f"q{i}" for i in range(4096)], rows)
+
+    def test_validation_sorts_a_bounded_block_at_a_time(self) -> None:
+        # A 64 x 20000 panel (every fresh-writes game): validating it takes
+        # under 2 MB on top of what the built table holds (its 9.8 MB array
+        # is taken over, not copied), where one sorted copy would take 10 MB.
+        u = 20000
+        universe = [f"q{i}" for i in range(u)]
+        values = np.asfortranarray(np.tile(np.arange(1, u + 1, dtype=np.int64), (64, 1)))
+        tracemalloc.start()
+        try:
+            table = ValueTable(universe, values)
+            held, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert table.values is values
+        assert peak - held < 2 * 2**20
 
     def test_rejects_a_ragged_table(self) -> None:
         with pytest.raises(ValueError, match="rectangular"):

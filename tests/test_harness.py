@@ -1,7 +1,9 @@
 from __future__ import annotations
 
+import importlib
 import json
 import random
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -189,7 +191,7 @@ def test_soundness_check_reports_an_injected_overestimate(monkeypatch) -> None:
         update = learner.update_memory
         steps = 0
 
-        def update_memory(question, answer, changed=None):
+        def update_memory(question, answer, changed):
             nonlocal steps
             update(question, answer, changed)
             steps += 1
@@ -482,7 +484,7 @@ class TestCli:
         assert "two" in capsys.readouterr().err
 
     def test_internal_error_is_not_a_config_error(self, monkeypatch, capsys) -> None:
-        def broken(self, question, answer, changed=None):
+        def broken(self, question, answer, changed):
             raise KeyError("internal")
 
         monkeypatch.setattr(harness.lrn.LazyLearner, "update_memory", broken)
@@ -761,7 +763,7 @@ def test_unwritten_first_fill_cutoff_is_caught_by_the_reference(monkeypatch) -> 
 # builders run_game looks up at call time and the methods it wraps on what
 # they build. A scripted suite has no cutoffs, so no true_thresholds; the
 # benchmark wraps only the methods a suite has.
-BENCHMARK_SUITE_METHODS = ("knows", "knows_many", "offer", "count_active", "union_memory")
+BENCHMARK_SUITE_METHODS = ("knows", "knows_many", "offer", "count_active")
 BENCHMARK_LEDGER_KEYWORDS = (
     "kind", "question", "cost", "expert_costs", "fact_memory", "question_memory",
     "aux_state", "active_experts",
@@ -814,6 +816,33 @@ def test_benchmark_hooks_keep_their_names_and_shapes(monkeypatch, experts, backi
     ledger = harness.GameLedger(2)
     ledger.record_step(**dict.fromkeys(BENCHMARK_LEDGER_KEYWORDS, 0) | {"expert_costs": None})
     assert len(ledger) == 1
+
+
+@pytest.mark.parametrize(
+    "experts,backing,learner",
+    [("scripted:striped,N=4", "auto", "lazy"), ("values:N=4,universe=8", "simulation", "mwu"),
+     ("values:N=4,universe=8", "threshold", "full-sim")],
+)
+def test_benchmark_tracer_records_a_game(monkeypatch, experts, backing, learner) -> None:
+    # The benchmark's traced path, run against the package as it is: the
+    # tracer module is imported from perfbench/ and not modified.
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+    tracing = importlib.import_module("tracing")
+    tracer = tracing.Tracer()
+    config = RunConfig(
+        learner=learner, adversary="random:universe=8,T=40,seed=2", experts=experts,
+        capacity=2, oracle_backing=backing,
+    )
+    with tracer.installed():
+        ledger, report = run_game(config)
+    assert report.passed
+    metrics = tracer.layer_metrics()
+    assert metrics["experts.offer_calls"] == len(ledger)
+    assert metrics["learners.update_memory_calls"] == len(ledger)
+    assert metrics["experts.offer_s"] > 0
+    assert metrics["learners.update_memory_s"] > 0
+    assert metrics["experts.union_memory_s"] == 0
+    assert set(metrics) == set(tracing.LAYER_METRICS) - {"trace.overhead_s"}
 
 
 def test_value_lazy_warns_on_nonsequential_adversary() -> None:

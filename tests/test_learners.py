@@ -51,14 +51,6 @@ class StubSuite:
         return int((self.knows(question) & active).sum())
 
 
-def drive(suite, learner, stream) -> None:
-    for event in stream:
-        if event.is_evaluate:
-            learner.observe_evaluation(event.question)
-        changed = suite.offer(Fact(event.question, event.answer))
-        learner.update_memory(event.question, event.answer, changed)
-
-
 def test_kth_largest_sentinel_and_order() -> None:
     assert kth_largest([7, 5, 3], 2) == 5
     assert kth_largest([9], 2) == 0
@@ -71,7 +63,7 @@ class TestMwu:
         suite = StubSuite(2)
         learner = MwuLearner(suite, capacity=2, gamma=0.5)
         suite.set("q", [False, True])
-        learner.observe_evaluation("q")
+        learner.observe_evaluation("q", suite.knows("q"))
         assert list(learner.errors) == [1, 0]
         w = (1.0 - learner.gamma) ** learner.errors
         assert list(w) == [0.5, 1.0]
@@ -80,7 +72,7 @@ class TestMwu:
         suite = StubSuite(2)
         learner = MwuLearner(suite, capacity=1, gamma=0.5)
         suite.set("q", [True, False])  # exactly half of the (equal) weight
-        learner.update_memory("q", "a")
+        learner.update_memory("q", "a", ("q",))
         assert "q" in learner.memory
 
     def test_unanimous_backing_removes_nothing(self) -> None:
@@ -88,7 +80,7 @@ class TestMwu:
         learner = MwuLearner(suite, capacity=2)
         for q in ("q1", "q2"):
             suite.set(q, [True, True, True])
-            learner.update_memory(q, "a")
+            learner.update_memory(q, "a", (q,))
         assert set(learner.memory) == {"q1", "q2"}
 
     def test_memory_stays_within_twice_capacity(self) -> None:
@@ -101,9 +93,9 @@ class TestMwu:
             learner = MwuLearner(suite, capacity)
             for event in random_stream(24, 3000, 0.5, trial):
                 if event.is_evaluate:
-                    learner.observe_evaluation(event.question)
-                suite.offer(Fact(event.question, event.answer))
-                learner.update_memory(event.question, event.answer)
+                    learner.observe_evaluation(event.question, suite.knows(event.question))
+                changed = suite.offer(Fact(event.question, event.answer))
+                learner.update_memory(event.question, event.answer, changed)
                 assert len(learner.memory) <= 2 * capacity
 
     def test_rejects_bad_gamma(self) -> None:
@@ -157,7 +149,7 @@ def test_mwu_matches_naive_reference_on_random_streams() -> None:
         slow = NaiveMwu(slow_suite, gamma)
         for event in random_stream(universe, 300, rng.choice([0.3, 0.5, 0.8]), trial):
             if event.is_evaluate:
-                fast.observe_evaluation(event.question)
+                fast.observe_evaluation(event.question, fast_suite.knows(event.question))
                 slow.observe(event.question)
             changed = fast_suite.offer(Fact(event.question, event.answer))
             slow_suite.offer(Fact(event.question, event.answer))
@@ -172,7 +164,8 @@ def test_mwu_re_tests_a_pruned_matrix_as_a_full_recompute_does() -> None:
     # weights (gamma 0.1) the 4-row product keeps q3 at a near tie, while the
     # 1-row product of the pruned matrix may drop it. Whatever this platform's
     # BLAS does, the learner must re-test the pruned matrix on the next step
-    # and agree with the from-scratch reference.
+    # and agree with the from-scratch reference. The first step names every
+    # row that moved, as a suite's offer would; the second names none.
     rows = [[1, 0, 0, 0, 1, 1, 1, 0], [0, 1, 0, 1, 1, 0, 0, 0],
             [0, 1, 0, 1, 1, 0, 1, 0], [1, 1, 1, 0, 0, 1, 0, 0]]
     suite = StubSuite(8)
@@ -180,17 +173,17 @@ def test_mwu_re_tests_a_pruned_matrix_as_a_full_recompute_does() -> None:
     slow = NaiveMwu(suite, gamma=0.1)
     for i in range(4):
         suite.set(f"q{i}", [True] * 8)
-        fast.update_memory(f"q{i}", "a")
+        fast.update_memory(f"q{i}", "a", (f"q{i}",))
         slow.update(f"q{i}", "a")
     for i, bits in enumerate(rows):
         suite.set(f"q{i}", bits)
     errors = [3, 5, 1, 3, 5, 2, 2, 1]
     for k in range(max(errors)):  # expert e errs on the first errors[e] evaluations
         suite.set(f"e{k}", [k >= err for err in errors])
-        fast.observe_evaluation(f"e{k}")
+        fast.observe_evaluation(f"e{k}", suite.knows(f"e{k}"))
         slow.observe(f"e{k}")
     assert list(fast.errors) == errors
-    for changed in (None, ()):
+    for changed in (("q0", "q1", "q2", "q3"), ()):
         fast.update_memory("q3", None, changed)
         slow.update("q3", None)
         assert fast.memory == slow.memory
@@ -198,28 +191,39 @@ def test_mwu_re_tests_a_pruned_matrix_as_a_full_recompute_does() -> None:
 
 def play_twins(learner: str, backing: str, n: int, capacity: int, universe: int,
                length: int, teach: float, seed: int, gamma: float = 0.5) -> None:
-    """Drive two copies of ``learner`` over one stream and one suite, in the
-    harness's phase order: one gets the suite's ``changed``, its twin
-    ``changed=None`` (the full-recompute path). Their memories, and ``lazy``'s
-    saver counts, must agree after every step."""
+    """Drive ``learner`` over one stream and one suite, in the harness's
+    phase order and with the suite's ``changed``, beside a from-scratch
+    reference over the same suite: ``NaiveMwu``, ``NaiveLazy``, or for
+    ``full-sim`` the shown facts that some expert stores. Their memories,
+    and ``lazy``'s saver counts recounted from ``knows & active``, must
+    agree after every step."""
     suite = make_suite(backing, n, capacity, universe, seed)
+    shown: dict = {}  # full-sim's reference: every fact offered so far
     if learner == "mwu":
-        fast, full = (MwuLearner(suite, capacity, gamma=gamma) for _ in range(2))
+        fast, full = MwuLearner(suite, capacity, gamma=gamma), NaiveMwu(suite, gamma)
     elif learner == "lazy":
-        fast, full = LazyLearner(suite, capacity), LazyLearner(suite, capacity)
+        fast, full = LazyLearner(suite, capacity), NaiveLazy(suite, capacity)
     else:
-        fast, full = FullSimLearner(suite), FullSimLearner(suite)
+        fast, full = FullSimLearner(suite), None
     for step, event in enumerate(random_stream(universe, length, teach, seed)):
         if event.is_evaluate:
-            know = suite.knows(event.question)
-            fast.observe_evaluation(event.question, know=know)
-            full.observe_evaluation(event.question, know=know)
+            fast.observe_evaluation(event.question, suite.knows(event.question))
+            if full is not None:
+                full.observe(event.question)
         changed = suite.offer(Fact(event.question, event.answer))
         fast.update_memory(event.question, event.answer, changed)
-        full.update_memory(event.question, event.answer, None)
+        if full is None:
+            shown[event.question] = event.answer
+            union = {q: a for q, a in shown.items() if suite.knows(q).any()}
+            assert fast.memory == union, (learner, backing, step)
+            continue
+        full.update(event.question, event.answer)
         assert fast.memory == full.memory, (learner, backing, step)
+        assert list(fast.errors) == list(full.errors), (learner, backing, step)
         if learner == "lazy":
-            assert fast._counts == full._counts, (learner, backing, step)
+            assert list(fast.active) == full.active, (learner, backing, step)
+            recount = {q: int((suite.knows(q) & fast.active).sum()) for q in fast.memory}
+            assert fast._counts == recount, (learner, backing, step)
 
 
 @given(
@@ -246,26 +250,21 @@ def test_incremental_memory_phase_matches_full_recompute_on_seeded_streams() -> 
             play_twins(learner, backing, 6, 2, 12, 300, 0.5, seed)
 
 
-_full_sim_update = FullSimLearner.update_memory
 _lazy_update = LazyLearner.update_memory
 _value_lazy_raise_cutoffs = ValueLazyLearner._raise_cutoffs
 
 
-def _mwu_observe_keeping_weights(self, question, know=None):
-    if know is None:
-        know = self.suite.knows(question)
+def _mwu_observe_keeping_weights(self, question, know):
     self.errors += ~know
 
 
-def _full_sim_ignoring_evictions(self, question, answer, changed=None):
-    if changed is None:
-        return _full_sim_update(self, question, answer, changed)
+def _full_sim_ignoring_evictions(self, question, answer, changed):
     if question in changed and self.suite.knows(question).any():
         self.memory[question] = answer
 
 
-def _lazy_ignoring_evictions(self, question, answer, changed=None):
-    _lazy_update(self, question, answer, None if changed is None else ())
+def _lazy_ignoring_evictions(self, question, answer, changed):
+    _lazy_update(self, question, answer, ())
 
 
 def _raise_cutoffs_ignoring_active(self, *args):
@@ -311,7 +310,7 @@ class TestLazy:
         suite = StubSuite(3)
         learner = LazyLearner(suite, capacity=1)
         suite.set("q", [True, True, False])  # expert 2 keeps failing
-        learner.observe_evaluation("q")
+        learner.observe_evaluation("q", suite.knows("q"))
         # 3 active <= 3 * 1 bad: the removal fires on the boundary
         assert list(learner.active) == [True, True, False]
         assert learner.active_count == 2
@@ -320,7 +319,7 @@ class TestLazy:
         suite = StubSuite(4)
         learner = LazyLearner(suite, capacity=1)
         suite.set("q", [True, True, True, False])
-        learner.observe_evaluation("q")
+        learner.observe_evaluation("q", suite.knows("q"))
         assert learner.active_count == 4  # 4 > 3 * 1
 
     # value-lazy shares the deactivation rule: pin the same boundary there,
@@ -328,7 +327,7 @@ class TestLazy:
     def test_value_lazy_bulk_removal_boundary_triggers_at_equality(self) -> None:
         learner = make_value_lazy([{"z": 1}] * 3, capacity=1)
         learner.errors[:] = [learner.M, 0, 0]
-        learner.observe_evaluation("z")
+        learner.observe_evaluation("z", None)
         # 3 active <= 3 * 1 bad: the removal fires on the boundary
         assert list(learner.active) == [False, True, True]
         assert learner.active_count == 2
@@ -337,7 +336,7 @@ class TestLazy:
     def test_value_lazy_no_removal_above_the_boundary(self) -> None:
         learner = make_value_lazy([{"z": 1}] * 4, capacity=1)
         learner.errors[:] = [learner.M, 0, 0, 0]
-        learner.observe_evaluation("z")
+        learner.observe_evaluation("z", None)
         assert learner.active_count == 4  # 4 > 3 * 1
         assert learner.generation == 0
 
@@ -345,7 +344,7 @@ class TestLazy:
         suite = StubSuite(2)
         learner = LazyLearner(suite, capacity=1)
         suite.set("q", [False, False])
-        learner.observe_evaluation("q")
+        learner.observe_evaluation("q", suite.knows("q"))
         assert learner.active_count == 2
         assert list(learner.errors) == [0, 0]
         assert list(learner.active) == [True, True]
@@ -356,23 +355,23 @@ class TestLazy:
         learner.active[2] = False
         learner.active_count = 2
         suite.set("q", [True, True, False])
-        learner.observe_evaluation("q")
+        learner.observe_evaluation("q", suite.knows("q"))
         assert list(learner.errors) == [0, 0, 1]
 
     def test_memory_tie_keeps_fact(self) -> None:
         suite = StubSuite(2)
         learner = LazyLearner(suite, capacity=1)
         suite.set("q", [True, False])  # one saver out of two active: a tie
-        learner.update_memory("q", "a")
+        learner.update_memory("q", "a", ("q",))
         assert "q" in learner.memory
         suite.set("q", [False, False])
-        learner.update_memory("q2", None, changed=["q"])
+        learner.update_memory("q2", None, ("q",))
         assert "q" not in learner.memory
 
     def test_value_lazy_memory_tie_keeps_fact(self) -> None:
         learner = make_value_lazy([{"q": 2, "r": 1}, {"q": 1, "r": 2}], capacity=1)
-        learner.update_memory("q", "a")
-        learner.update_memory("r", "a")  # expert 1's cutoff rises to r's value
+        learner.update_memory("q", "a", None)
+        learner.update_memory("r", "a", None)  # expert 1's cutoff rises to r's value
         # q and r each have one saver out of two active: both ties
         assert list(learner.threshold_values()) == [2, 2]
         assert set(learner.memory) == {"q", "r"}
@@ -395,7 +394,7 @@ def _drop_bad_experts_below_the_boundary(self):
 def _dropping_majority_ties(update_memory):
     # A fact goes at 2 * c <= active_count: the rule read with one more
     # active expert, which the memory phase reads only for that test.
-    def planted(self, question, answer, changed=None):
+    def planted(self, question, answer, changed):
         self.active_count += 1
         try:
             update_memory(self, question, answer, changed)
@@ -500,7 +499,7 @@ def test_lazy_matches_naive_reference_on_random_streams() -> None:
         slow = NaiveLazy(slow_suite, capacity)
         for event in stream:
             if event.is_evaluate:
-                fast.observe_evaluation(event.question)
+                fast.observe_evaluation(event.question, fast_suite.knows(event.question))
                 slow.observe(event.question)
             changed = fast_suite.offer(Fact(event.question, event.answer))
             slow_suite.offer(Fact(event.question, event.answer))
@@ -593,7 +592,7 @@ def test_value_lazy_matches_naive_reference_on_random_streams() -> None:
         slow = NaiveValueLazy([table.value_function(e) for e in range(n)], capacity)
         for event in stream:
             if event.is_evaluate:
-                fast.observe_evaluation(event.question)
+                fast.observe_evaluation(event.question, None)
                 slow.observe(event.question)
             fast.update_memory(event.question, event.answer, None)
             slow.update(event.question, event.answer)
@@ -635,7 +634,7 @@ def test_value_lazy_pool_counts_match_brute_force(n, capacity, universe, seed, e
             answer = taught.setdefault(question, "a")
         else:
             answer = taught.get(question)
-            fast.observe_evaluation(question)
+            fast.observe_evaluation(question, None)
             slow.observe(question)
         fast.update_memory(question, answer, None)
         slow.update(question, answer)
@@ -656,6 +655,8 @@ def test_value_lazy_pool_counts_match_brute_force(n, capacity, universe, seed, e
         assert list(fast.errors) == slow.errors
 
 
+# value-lazy estimates memberships from its table and reads neither ``know``
+# nor ``changed``, so the tests that drive it alone pass None for both.
 def make_value_lazy(values_by_expert, capacity):
     return ValueLazyLearner(ValueTable.from_mappings(values_by_expert), capacity)
 
@@ -688,7 +689,7 @@ class TestValueLazyPhases:
             list(learner.threshold_values()),
             dict(learner.minor),
         )
-        learner.observe_evaluation("a")
+        learner.observe_evaluation("a", None)
         assert before == (
             list(learner.errors),
             list(learner.threshold_values()),
@@ -703,7 +704,7 @@ class TestValueLazyPhases:
         )
         learner.update_memory("x", "ans", None)
         learner.update_memory("y", "ans", None)
-        learner.observe_evaluation("q")
+        learner.observe_evaluation("q", None)
         assert list(learner.minor.values()) == ["q"]
         assert list(learner.errors) == [0, 0]
 
@@ -722,10 +723,10 @@ class TestValueLazyPhases:
         )
         learner.update_memory("x", "ans", None)
         learner.update_memory("y", "ans", None)
-        learner.observe_evaluation("p")
+        learner.observe_evaluation("p", None)
         assert list(learner.minor.values()) == ["p"]
         assert list(learner.errors) == [0, 0, 0]
-        learner.observe_evaluation("q")
+        learner.observe_evaluation("q", None)
         assert list(learner.minor.values()) == ["p"]  # p survives: only 1 of 3 below
         assert list(learner.errors) == [0, 1, 1]
         assert list(learner.active) == [True, False, False]
@@ -740,8 +741,8 @@ class TestValueLazyPhases:
         )
         learner.update_memory("x", "ans", None)
         learner.update_memory("y", "ans", None)
-        learner.observe_evaluation("p")
-        learner.observe_evaluation("q")
+        learner.observe_evaluation("p", None)
+        learner.observe_evaluation("q", None)
         assert list(learner.errors) == [0, 0]
         assert list(learner.active) == [True, True]
         assert learner.generation > 0
@@ -754,7 +755,7 @@ class TestValueLazyPhases:
         learner.update_memory("b", "ans", None)
         cuts = list(learner.threshold_values())
         learner.errors[:] = learner.M  # both experts at the removal threshold
-        learner.observe_evaluation("z")
+        learner.observe_evaluation("z", None)
         assert list(learner.active) == [True, True]  # reset reactivated everyone
         assert list(learner.errors) == [0, 0]
         assert list(learner.threshold_values()) == cuts
@@ -764,7 +765,7 @@ class TestValueLazyPhases:
         with pytest.raises(KeyError):
             learner.update_memory("zzz", "ans", None)
         with pytest.raises(KeyError):
-            learner.observe_evaluation("zzz")
+            learner.observe_evaluation("zzz", None)
 
 
 @given(
@@ -806,8 +807,7 @@ class TestBaselines:
         suite = SimulatedValueSuite(table, capacity=2)
         learner = FullSimLearner(suite)
         for q in ("a", "b", "c", "d"):
-            suite.offer(Fact(q, "ans"))
-            learner.update_memory(q, "ans")
+            learner.update_memory(q, "ans", suite.offer(Fact(q, "ans")))
         # disjoint top-2 memories: the union holds all four facts
         assert set(learner.memory) == {"a", "b", "c", "d"}
 
@@ -816,8 +816,7 @@ class TestBaselines:
         suite = SimulatedValueSuite(table, capacity=1)
         learner = FullSimLearner(suite)
         for q in ("a", "b", "c"):
-            suite.offer(Fact(q, "ans"))
-            learner.update_memory(q, "ans")
+            learner.update_memory(q, "ans", suite.offer(Fact(q, "ans")))
         assert set(learner.memory) == {"c"}
 
     def test_full_sim_never_loses_to_the_best_expert(self) -> None:
@@ -830,15 +829,15 @@ class TestBaselines:
                 learner_knows = event.question in learner.memory
                 anyone_knows = bool(suite.knows(event.question).any())
                 assert learner_knows == anyone_knows
-            suite.offer(Fact(event.question, event.answer))
-            learner.update_memory(event.question, event.answer)
+            changed = suite.offer(Fact(event.question, event.answer))
+            learner.update_memory(event.question, event.answer, changed)
 
     def test_random_evict_budget_and_determinism(self) -> None:
         runs = []
         for _ in range(2):
             learner = RandomEvictLearner(4, capacity=2, budget=3, seed=99)
             for i in range(50):
-                learner.update_memory(f"q{i % 11}", "ans")
+                learner.update_memory(f"q{i % 11}", "ans", ())
                 assert len(learner.memory) <= 3
             runs.append(sorted(map(str, learner.memory)))
         assert runs[0] == runs[1]
