@@ -76,7 +76,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
         oracle_backing=args.backing,
         csv_path=args.csv_path,
         summary_path=args.summary_path,
-        verify_soundness=args.check_bounds and args.learner == "value-lazy",
+        verify_soundness=args.check_bounds,
     )
     ledger, report = run_game(config)
     emit_outputs(ledger, report, config)

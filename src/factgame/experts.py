@@ -352,7 +352,7 @@ class ThresholdValueSuite:
         self._column = table.column
         self._seen = np.zeros(self.values.shape[1], dtype=bool)
         self._top = np.zeros((table.n, capacity), dtype=np.int64)
-        self._slot_col = np.full((table.n, capacity), -1, dtype=np.int64)
+        self._held_col = np.full((table.n, capacity), -1, dtype=np.int64)
         self._low = np.zeros(table.n, dtype=np.int64)  # slot of each row's cutoff
         self._cut = np.zeros(table.n, dtype=np.int64)
         self._answers: dict[int, Answer] = {}
@@ -377,9 +377,9 @@ class ThresholdValueSuite:
         if not rows.size:
             return ()
         slots = self._low[rows]
-        evicted = self._slot_col[rows, slots]
+        evicted = self._held_col[rows, slots]
         self._top[rows, slots] = v[rows]
-        self._slot_col[rows, slots] = col
+        self._held_col[rows, slots] = col
         top = self._top[rows]
         low = self._low[rows] = top.argmin(axis=1)
         self._cut[rows] = top[np.arange(rows.size), low]
@@ -413,7 +413,8 @@ class ThresholdValueSuite:
 
 class ScriptedSuite:
     """Suite of policy-driven experts; ``expert_policy[i]`` names the policy
-    backing expert ``i``.
+    backing expert ``i``. Every policy must back some expert: ``offer``
+    names what any policy moved, and an unused one moves no membership.
 
     Experts sharing a policy share its memory, so a question's membership
     vector depends only on which policies hold it. ``knows`` and
@@ -437,6 +438,9 @@ class ScriptedSuite:
         for p in expert_policy:
             if not 0 <= p < len(policies):
                 raise ValueError(f"policy index {p} out of range")
+        unused = set(range(len(policies))).difference(expert_policy)
+        if unused:
+            raise ValueError(f"policies {sorted(unused)} back no expert")
         self.policies = list(policies)
         self.expert_policy = np.asarray(expert_policy, dtype=np.int64)
         self.capacity = max(p.capacity for p in policies)
@@ -555,9 +559,11 @@ def _scripted_recency(n: int, capacity: int) -> ScriptedSuite:
     return ScriptedSuite([KeepLastPolicy(capacity)], [0] * n)
 
 
+# Expert i follows policy i mod P, over the first min(N, P) policies only:
+# a suite holds no policy that backs no expert.
 def _scripted_first_vs_last(n: int, capacity: int) -> ScriptedSuite:
-    policies = [KeepFirstPolicy(capacity), KeepLastPolicy(capacity)]
-    return ScriptedSuite(policies, [i % 2 for i in range(n)])
+    policies = [KeepFirstPolicy(capacity), KeepLastPolicy(capacity)][:n]
+    return ScriptedSuite(policies, [i % len(policies) for i in range(n)])
 
 
 def _scripted_striped(n: int, capacity: int) -> ScriptedSuite:
@@ -566,7 +572,7 @@ def _scripted_striped(n: int, capacity: int) -> ScriptedSuite:
         StridePolicy(capacity, 2, 0),
         StridePolicy(capacity, 3, 1),
         KeepFirstPolicy(capacity),
-    ]
+    ][:n]
     return ScriptedSuite(policies, [i % len(policies) for i in range(n)])
 
 

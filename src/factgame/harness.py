@@ -406,12 +406,13 @@ def run_game(config: RunConfig) -> tuple[GameLedger, BoundReport]:
         )
 
     soundness = config.verify_soundness and isinstance(learner, lrn.ValueLazyLearner)
-    t_bad = tpre_bad = err_bad = None
     if soundness:
-        # The true cutoffs, refreshed only after an offer that can move one.
-        true_cutoffs = suite.true_thresholds()
-    tpre_star = np.zeros(suite.n, dtype=np.int64)
-    last_generation = learner.generation
+        t_bad = tpre_bad = err_bad = None
+        # The true cutoffs, refreshed only after an offer that can move one,
+        # and tpre_star, their value at the last active-set change (the
+        # start, where every cutoff is 0, until the first change).
+        tpre_star = true_cutoffs = suite.true_thresholds()
+        last_generation = learner.generation
 
     ledger = GameLedger(suite.n)
     facts: dict[QuestionId, Fact] = {}  # each question's first-bound fact
@@ -445,11 +446,6 @@ def run_game(config: RunConfig) -> tuple[GameLedger, BoundReport]:
             if answer is None:
                 violation = True  # never-taught question: everyone errs, nothing to store
             learner.observe_evaluation(question, know=know)
-            if soundness and learner.generation != last_generation:
-                # Snapshot the true cutoffs as they stood when the active set
-                # changed, before this step's memory updates.
-                tpre_star = true_cutoffs
-                last_generation = learner.generation
         else:
             expert_costs = None
             cost = 0
@@ -486,6 +482,12 @@ def run_game(config: RunConfig) -> tuple[GameLedger, BoundReport]:
                 f"questions, beyond its declared budget {learner.question_budget}"
             )
         if soundness:
+            if learner.generation != last_generation:
+                # value-lazy changes its active set only in the evaluation
+                # phase, and only offer moves the true cutoffs: until the
+                # refresh below, they stand as that phase saw them.
+                tpre_star = true_cutoffs
+                last_generation = learner.generation
             if changed != ():
                 true_cutoffs = suite.true_thresholds()
             if t_bad is None and (learner.threshold_values() > true_cutoffs).any():

@@ -265,7 +265,7 @@ def _check_run_bounds(seed: int, quick: bool) -> tuple[bool, str]:
             experts=experts,
             capacity=4,
             seed=seed,
-            verify_soundness=(learner == "value-lazy"),
+            verify_soundness=True,
         )
         try:
             _, report = run_game(config)

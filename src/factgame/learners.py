@@ -27,15 +27,6 @@ from .experts import ExpertSuite, SENTINEL_VALUE, ValueTable
 from .model import Answer, QuestionId
 
 
-def _kth_largest_rows(sub: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """Per-row k-th largest value and its column position. Requires at least
-    k columns."""
-    cut = sub.shape[1] - k
-    pos = np.argpartition(sub, cut, axis=1)[:, cut]
-    vals = sub[np.arange(sub.shape[0]), pos]
-    return vals, pos
-
-
 class Learner:
     """Uniform stepping surface consumed by the game loop.
 
@@ -240,21 +231,13 @@ class LazyLearner(_ActiveSetLearner):
             self._counts_generation = generation
             suspects = counts
         else:
-            suspects = None
+            suspects = {}
             for q in changed:
                 if q in memory:
-                    c = counts[q] = count(q, active, generation)
-                    if suspects is None:
-                        suspects = {q: c}
-                    else:
-                        suspects[q] = c
+                    suspects[q] = counts[q] = count(q, active, generation)
             if question not in counts and question in memory:
-                c = counts[question] = count(question, active, generation)
-                if suspects is None:
-                    suspects = {question: c}
-                else:
-                    suspects[question] = c
-            if suspects is None:
+                suspects[question] = counts[question] = count(question, active, generation)
+            if not suspects:
                 return
         threshold = self.active_count
         drops = [q for q, c in suspects.items() if 2 * c < threshold]
@@ -273,8 +256,7 @@ class ValueLazyLearner(_ActiveSetLearner):
     would have avoided are parked in a bounded question-only buffer until a
     second cutoff estimate, over the buffer alone, can classify them.
 
-    Cutoffs are stored as the attaining question's column (one auxiliary
-    entry each); their values are a cache read from the shared table. A
+    Each cutoff is stored once, as its value (one auxiliary entry each). A
     cutoff moves only once capacity pool values beat it, so the learner
     keeps ``above[e]``, the number of pool columns whose value beats row e's
     cutoff, and ``above_pre[e]``, the same over the buffer for the
@@ -290,8 +272,6 @@ class ValueLazyLearner(_ActiveSetLearner):
         super().__init__(table.n, capacity)
         self.values = table.values  # shared by reference, never copied
         self._column = table.column
-        self.t_col = np.full(self.n, -1, dtype=np.int64)
-        self.tpre_col = np.full(self.n, -1, dtype=np.int64)
         self._t_vals = np.full(self.n, SENTINEL_VALUE, dtype=np.int64)
         self._tpre_vals = np.full(self.n, SENTINEL_VALUE, dtype=np.int64)
         self.above = np.zeros(self.n, dtype=np.int64)
@@ -301,7 +281,7 @@ class ValueLazyLearner(_ActiveSetLearner):
         self._cutoff_generation = self.generation
         self._save_counts: dict[QuestionId, int] = {}
         self.question_budget = 2 * capacity
-        self.aux_state_count = 4 * self.n  # error counts, active flags, two cutoff ids
+        self.aux_state_count = 4 * self.n  # error counts, active flags, two cutoffs
 
     @property
     def question_memory_size(self) -> int:
@@ -325,7 +305,6 @@ class ValueLazyLearner(_ActiveSetLearner):
     def _raise_cutoffs(
         self,
         pool: Iterable[int],
-        cutoff_cols: np.ndarray,
         cut_vals: np.ndarray,
         above: np.ndarray,
     ) -> tuple[np.ndarray, np.ndarray] | None:
@@ -337,10 +316,9 @@ class ValueLazyLearner(_ActiveSetLearner):
         if not rows.size:
             return None
         cols = np.fromiter(pool, dtype=np.int64)
-        vals, pos = _kth_largest_rows(self.values[np.ix_(rows, cols)], self.M)
+        cut = cols.size - self.M
         old = cut_vals[rows]
-        cutoff_cols[rows] = cols[pos]
-        cut_vals[rows] = vals
+        cut_vals[rows] = np.partition(self.values[np.ix_(rows, cols)], cut, axis=1)[:, cut]
         above[rows] = self.M - 1  # rows are injective: M-1 pool values beat the new cutoff
         return rows, old
 
@@ -355,7 +333,7 @@ class ValueLazyLearner(_ActiveSetLearner):
             self.above_pre += self.values[:, col] > self._tpre_vals
             if question not in self._mem_cols:
                 self.above += self.values[:, col] > self._t_vals
-        self._raise_cutoffs(self.minor.keys(), self.tpre_col, self._tpre_vals, self.above_pre)
+        self._raise_cutoffs(self.minor.keys(), self._tpre_vals, self.above_pre)
         # Nothing a resolution reads (active set, pre-cutoffs, active_count)
         # changes while the buffer resolves, so every column is judged at once.
         cols = np.fromiter(self.minor, dtype=np.int64, count=len(self.minor))
@@ -430,7 +408,7 @@ class ValueLazyLearner(_ActiveSetLearner):
                 if col not in self.minor:
                     self.above += self.values[:, col] > self._t_vals
             self.memory[question] = answer  # step fact joins before the cutoff refresh
-        moved = self._raise_cutoffs(self._pool(), self.t_col, self._t_vals, self.above)
+        moved = self._raise_cutoffs(self._pool(), self._t_vals, self.above)
         stale = self.generation != self._cutoff_generation
         self._cutoff_generation = self.generation
         if not self.memory:

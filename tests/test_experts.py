@@ -13,6 +13,7 @@ from factgame.experts import (
     KeepFirstPolicy,
     KeepLastPolicy,
     SCRIPTED_SUITES,
+    ScriptedSuite,
     SimulatedValueSuite,
     StridePolicy,
     ThresholdValueSuite,
@@ -311,40 +312,45 @@ class TestScriptedPolicies:
     def test_suite_delta_reports_every_membership_change(self) -> None:
         # Learners update from offer's tuple alone: it must name every
         # question whose membership moved, none twice, and be () exactly
-        # when nothing moved.
+        # when nothing moved, also with fewer experts than policies.
         rng = random.Random(5)
         universe = [f"q{i}" for i in range(9)]
         for name in SCRIPTED_SUITES:
-            suite = build_scripted_suite(name, n_experts=5, capacity=2)
-            before = suite.knows_many(universe)
-            for _ in range(250):
-                changed = suite.offer(fact(rng.choice(universe)))
-                after = suite.knows_many(universe)
-                moved = {p for p, row in zip(universe, before != after) if row.any()}
-                assert isinstance(changed, tuple), name
-                assert moved <= set(changed), name
-                assert len(set(changed)) == len(changed), name
-                assert (changed == ()) == (not moved), name
-                before = after
+            for n in range(1, 6):
+                where = f"{name}, N={n}"
+                suite = build_scripted_suite(name, n_experts=n, capacity=2)
+                before = suite.knows_many(universe)
+                for _ in range(200):
+                    changed = suite.offer(fact(rng.choice(universe)))
+                    after = suite.knows_many(universe)
+                    moved = {p for p, row in zip(universe, before != after) if row.any()}
+                    assert isinstance(changed, tuple), where
+                    assert moved <= set(changed), where
+                    assert len(set(changed)) == len(changed), where
+                    assert (changed == ()) == (not moved), where
+                    before = after
+
+    def test_a_policy_backing_no_expert_is_rejected(self) -> None:
+        with pytest.raises(ValueError, match=r"policies \[1\] back no expert"):
+            ScriptedSuite([KeepFirstPolicy(2), KeepLastPolicy(2)], [0, 0])
+        # With two experts, striped holds only the first two of its policies.
+        assert len(build_scripted_suite("striped", n_experts=2, capacity=2).policies) == 2
 
     def test_union_memory_holds_only_what_some_expert_stores(self) -> None:
-        # full-sim's memory is the union of the expert memories. striped has
-        # four policies; with two experts only the first two back anyone, so
-        # a fact only the other two store is in no expert's memory.
+        # full-sim's memory is the union of the expert memories, so a shown
+        # fact that every expert has evicted leaves it.
         suite = build_scripted_suite("striped", n_experts=2, capacity=2)
         learner = FullSimLearner(suite)
         universe = [f"q{i}" for i in range(6)]
-        orphans = set()  # facts that only a policy backing no expert stored
+        shown, evicted = set(), set()
         for q in universe + universe[:3]:
             learner.update_memory(q, f"ans-{q}", suite.offer(fact(q)))
+            shown.add(q)
             union = {p for p in universe if suite.knows(p).any()}
             assert set(learner.memory) == union
             assert all(learner.memory[p] == f"ans-{p}" for p in union)
-            orphans |= {
-                p for p in universe
-                if p not in union and any(p in policy._memory for policy in suite.policies[2:])
-            }
-        assert orphans
+            evicted |= shown - union
+        assert evicted
 
 
 class TestSuiteFile:

@@ -180,9 +180,33 @@ class TestCheckBounds:
         assert report.check("aux_state").passed
 
 
-def test_soundness_check_reports_an_injected_overestimate(monkeypatch) -> None:
-    # From step `inject_at` on, value-lazy reports cutoffs one above the
-    # true ones; the soundness check must fail there, not raise.
+def _inflate_cutoffs(learner, suite) -> None:
+    learner.threshold_values = lambda: suite.true_thresholds() + 1
+
+
+def _inflate_pre_cutoffs(learner, suite) -> None:
+    learner.pre_threshold_values = lambda: suite.true_thresholds() + 1
+
+
+def _inflate_errors(learner, suite) -> None:
+    learner.errors += 40
+
+
+# Each soundness check, and a fault that only it must report.
+SOUNDNESS_FAULTS = {
+    "threshold_underestimates": _inflate_cutoffs,
+    "pre_threshold_underestimates": _inflate_pre_cutoffs,
+    "perceived_errors_underestimate": _inflate_errors,
+}
+
+
+@pytest.mark.parametrize("failing", list(SOUNDNESS_FAULTS))
+def test_soundness_check_reports_an_injected_overestimate(monkeypatch, failing) -> None:
+    # From step `inject_at` on, value-lazy overstates one of the three
+    # quantities its soundness rests on: its cutoffs or its pre-cutoffs
+    # (one above the true cutoffs, which every snapshot of them is at most)
+    # or its error counts (by 40, as many as the steps so far). That check
+    # must fail there, not raise, and the other two must pass.
     inject_at = 40
     build = harness.build_learner
 
@@ -196,7 +220,7 @@ def test_soundness_check_reports_an_injected_overestimate(monkeypatch) -> None:
             update(question, answer, changed)
             steps += 1
             if steps == inject_at:
-                learner.threshold_values = lambda: suite.true_thresholds() + 1
+                SOUNDNESS_FAULTS[failing](learner, suite)
 
         learner.update_memory = update_memory
         return learner
@@ -210,11 +234,11 @@ def test_soundness_check_reports_an_injected_overestimate(monkeypatch) -> None:
         verify_soundness=True,
     )
     _, report = run_game(config)
-    check = report.check("threshold_underestimates")
-    assert not check.passed
-    assert check.first_violation == inject_at
+    for name in SOUNDNESS_FAULTS:
+        assert report.check(name).passed == (name != failing), name
+    assert report.check(failing).first_violation == inject_at
     assert not report.passed
-    assert f"threshold_underestimates: FAIL worst slack 0 first violation at t={inject_at}" in (
+    assert f"{failing}: FAIL worst slack 0 first violation at t={inject_at}" in (
         report.format_lines()
     )
 
