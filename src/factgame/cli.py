@@ -99,9 +99,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 def _cmd_sweep(args: argparse.Namespace) -> int:
     grid = load_grid(args.grid)
     failures = 0
-
-    def report_line(config, ledger, report):
-        nonlocal failures
+    for config, ledger, report in sweep(grid):
         status = "PASS" if report.passed else "FAIL"
         if not report.passed:
             failures += 1
@@ -109,10 +107,9 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
             f"{status} learner={config.learner} adversary={config.adversary} "
             f"experts={config.experts} M={config.capacity} seed={config.seed} "
             f"T={len(ledger)} L={ledger.learner_mistakes} OPT={ledger.opt} "
-            f"max_mem={ledger.max_fact_memory()}"
+            f"max_mem={ledger.max_fact_memory()}",
+            flush=True,
         )
-
-    sweep(grid, on_result=report_line)
     return EXIT_CHECK_FAILED if failures else EXIT_OK
 
 

@@ -332,13 +332,17 @@ class ThresholdValueSuite:
 
     Holds the table by reference, the shared seen-mask, and each expert's
     top-``capacity`` seen values, unsorted, in one ``N x capacity`` array,
-    with the column stored in each slot (-1 while empty), the slot of each
-    row's smallest value and the cutoff vector (that smallest value, 0 while
-    under-full). Membership is ``seen(q) and value(e, q) >= cutoff(e)``.
+    with the column stored in each slot, the slot of each row's smallest
+    value and the cutoff vector (that smallest value, 0 while under-full).
+    Membership is ``seen(q) and value(e, q) >= cutoff(e)``.
 
     A first show is kept by exactly the rows whose cutoff it beats; each
     writes the newcomer over its smallest slot, so the evicted column is the
-    one that slot held, and only those rows look for their new smallest slot.
+    one that slot held, and only those rows look for their new smallest
+    slot. Under capacity every cutoff is 0 and every value at least 1, so
+    every row keeps each of the first ``capacity`` first shows, in slot
+    order: those fill one column of slots for all rows at once, with no
+    search until the last of them.
     """
 
     backing = "threshold"
@@ -352,7 +356,8 @@ class ThresholdValueSuite:
         self._column = table.column
         self._seen = np.zeros(self.values.shape[1], dtype=bool)
         self._top = np.zeros((table.n, capacity), dtype=np.int64)
-        self._held_col = np.full((table.n, capacity), -1, dtype=np.int64)
+        self._held_col = np.zeros((table.n, capacity), dtype=np.int64)
+        self._filled = 0  # slots in use per row, the same for every row until full
         self._low = np.zeros(table.n, dtype=np.int64)  # slot of each row's cutoff
         self._cut = np.zeros(table.n, dtype=np.int64)
         self._answers: dict[int, Answer] = {}
@@ -373,6 +378,14 @@ class ThresholdValueSuite:
         self._seen[col] = True
         self._answers[col] = fact.answer
         v = self.values[:, col]
+        if self._filled < self.capacity:
+            self._top[:, self._filled] = v
+            self._held_col[:, self._filled] = col
+            self._filled += 1
+            if self._filled == self.capacity:
+                self._low = self._top.argmin(axis=1)
+                self._cut = self._top[np.arange(self.n), self._low]
+            return (fact.question,)
         rows = np.flatnonzero(v > self._cut)
         if not rows.size:
             return ()
@@ -385,7 +398,7 @@ class ThresholdValueSuite:
         self._cut[rows] = top[np.arange(rows.size), low]
         # Each evicted column once, in the order of the first row evicting it.
         universe = self.table.universe
-        evicted = dict.fromkeys(evicted[evicted >= 0].tolist())
+        evicted = dict.fromkeys(evicted.tolist())
         return (fact.question, *[universe[c] for c in evicted])
 
     def knows(self, question: QuestionId) -> np.ndarray:

@@ -21,6 +21,7 @@ import itertools
 import json
 import warnings
 from dataclasses import dataclass, field
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -114,8 +115,12 @@ class BoundReport:
         return lines
 
 
-def _trace_check(name: str, values: np.ndarray, cap: np.ndarray | int, gating: bool = True) -> BoundCheck:
-    slack = np.asarray(cap) - values
+def _trace_check(
+    name: str, values: Sequence[int] | np.ndarray, cap: np.ndarray | int, gating: bool = True
+) -> BoundCheck:
+    # Widened to int64 before any arithmetic; a typed ledger column is read
+    # through its buffer, with no Python int per step.
+    slack = np.asarray(cap) - np.asarray(values, dtype=np.int64)
     if slack.size == 0:
         return BoundCheck(name, True, 0, None, gating)
     worst = int(slack.min())
@@ -149,12 +154,13 @@ def check_bounds(
             "question_cap": question_cap,
         }
     )
-    fact_mem = np.asarray(ledger.fact_memory_trace, dtype=np.int64)
-    question_mem = np.asarray(ledger.question_memory_trace, dtype=np.int64)
-    aux = np.asarray(ledger.aux_trace, dtype=np.int64)
-    report.checks.append(_trace_check("fact_memory", fact_mem, fact_cap))
-    report.checks.append(_trace_check("question_memory", question_mem, question_cap))
-    report.checks.append(_trace_check("aux_state", aux, AUX_CAP_FACTOR * n_experts))
+    report.checks.append(_trace_check("fact_memory", ledger.fact_memory_trace, fact_cap))
+    report.checks.append(
+        _trace_check("question_memory", ledger.question_memory_trace, question_cap)
+    )
+    report.checks.append(
+        _trace_check("aux_state", ledger.aux_trace, AUX_CAP_FACTOR * n_experts)
+    )
     if learner in ("lazy", "value-lazy", "full-sim"):
         L = np.asarray(ledger.learner_trace, dtype=np.int64)
         opt = np.asarray(ledger.opt_trace, dtype=np.int64)
@@ -556,9 +562,13 @@ def format_summary(ledger: GameLedger, report: BoundReport) -> str:
     return "\n".join(lines) + "\n"
 
 
-def sweep(grid: dict, *, on_result=None) -> list[tuple[RunConfig, GameLedger, BoundReport]]:
+def sweep(grid: dict) -> Iterator[tuple[RunConfig, GameLedger, BoundReport]]:
     """Run the cartesian product of a parameter grid, serially and in a
-    deterministic order. Grid values may be scalars or lists."""
+    deterministic order. Grid values may be scalars or lists.
+
+    Every cell's keys and values are checked before the first game. The
+    games then run one per step of the returned iterator, so a sweep holds
+    one cell's ledger at a time, not the whole grid's."""
     keys = sorted(grid)
     unknown = [k for k in keys if k not in SWEEP_KEYS]
     if unknown:
@@ -566,7 +576,7 @@ def sweep(grid: dict, *, on_result=None) -> list[tuple[RunConfig, GameLedger, Bo
             f"unknown grid keys {unknown}; a grid takes {', '.join(SWEEP_KEYS)}"
         )
     lists = [grid[k] if isinstance(grid[k], list) else [grid[k]] for k in keys]
-    results = []
+    configs = []
     for combo in itertools.product(*lists):
         options = dict(zip(keys, combo))
         try:
@@ -575,20 +585,18 @@ def sweep(grid: dict, *, on_result=None) -> list[tuple[RunConfig, GameLedger, Bo
             gamma = float(options.get("gamma", 0.5))
         except (TypeError, ValueError) as err:
             raise ConfigError(f"grid cell {options}: {err}") from None
-        config = RunConfig(
-            learner=options.get("learner", "lazy"),
-            adversary=options.get("adversary", "random:universe=16,T=1000"),
-            experts=options.get("experts"),
-            capacity=capacity,
-            seed=seed,
-            gamma=gamma,
-            oracle_backing=options.get("backing", "auto"),
+        configs.append(
+            RunConfig(
+                learner=options.get("learner", "lazy"),
+                adversary=options.get("adversary", "random:universe=16,T=1000"),
+                experts=options.get("experts"),
+                capacity=capacity,
+                seed=seed,
+                gamma=gamma,
+                oracle_backing=options.get("backing", "auto"),
+            )
         )
-        ledger, report = run_game(config)
-        results.append((config, ledger, report))
-        if on_result is not None:
-            on_result(config, ledger, report)
-    return results
+    return ((config, *run_game(config)) for config in configs)
 
 
 def load_grid(path: str) -> dict:

@@ -305,13 +305,17 @@ class ValueLazyLearner(_ActiveSetLearner):
     def _raise_cutoffs(
         self,
         pool: Iterable[int],
+        pool_bound: int,
         cut_vals: np.ndarray,
         above: np.ndarray,
     ) -> tuple[np.ndarray, np.ndarray] | None:
         """Raise every active row with at least capacity pool values above
         its cutoff to the capacity-th largest of them. Returns the moved rows
         and their old cutoff values, or None when no row moves; ``pool`` is
-        read only then."""
+        read only then. ``pool_bound`` is at least the pool's size: a row
+        counts only pool values, so below capacity no row can move."""
+        if pool_bound < self.M:
+            return None
         rows = np.flatnonzero(self.active & (above >= self.M))
         if not rows.size:
             return None
@@ -333,7 +337,7 @@ class ValueLazyLearner(_ActiveSetLearner):
             self.above_pre += self.values[:, col] > self._tpre_vals
             if question not in self._mem_cols:
                 self.above += self.values[:, col] > self._t_vals
-        self._raise_cutoffs(self.minor.keys(), self._tpre_vals, self.above_pre)
+        self._raise_cutoffs(self.minor.keys(), len(self.minor), self._tpre_vals, self.above_pre)
         # Nothing a resolution reads (active set, pre-cutoffs, active_count)
         # changes while the buffer resolves, so every column is judged at once.
         cols = np.fromiter(self.minor, dtype=np.int64, count=len(self.minor))
@@ -408,7 +412,9 @@ class ValueLazyLearner(_ActiveSetLearner):
                 if col not in self.minor:
                     self.above += self.values[:, col] > self._t_vals
             self.memory[question] = answer  # step fact joins before the cutoff refresh
-        moved = self._raise_cutoffs(self._pool(), self._t_vals, self.above)
+        moved = self._raise_cutoffs(
+            self._pool(), len(self._mem_cols) + len(self.minor), self._t_vals, self.above
+        )
         stale = self.generation != self._cutoff_generation
         self._cutoff_generation = self.generation
         if not self.memory:

@@ -4,7 +4,8 @@ A *fact* is an opaque (question, answer) pair. A *stream* interleaves teach
 events (a fact is shown to everyone) with evaluate events (a question is
 posed, and every agent that has not retained the matching fact pays unit
 cost). One :class:`GameLedger` accumulates the per-step costs and memory
-usage of a single run.
+usage of a single run, one typed ``array.array`` column per count, so a
+step stores a few bytes and no Python int objects.
 
 Stream files hold one event per line, with whitespace-free tokens::
 
@@ -17,7 +18,9 @@ Ledger exports use the CSV schema
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Hashable, IO, Iterable, Iterator, Sequence
 
 import numpy as np
@@ -29,6 +32,7 @@ QuestionId = Hashable
 Answer = Hashable
 
 CSV_HEADER = "t,kind,qid,cost,L,opt,fact_mem,question_mem,aux_state,active_experts"
+_CSV_ROW = ",".join(["{}"] * len(CSV_HEADER.split(","))) + "\n"  # fields as str() gives them
 
 
 @dataclass(frozen=True, slots=True)
@@ -110,6 +114,13 @@ class GameLedger:
     running sums; memory traces record end-of-step sizes. The ledger keeps
     one expert with the fewest mistakes (the witness): the fewest can only
     grow when that expert errs, so only then is the minimum searched again.
+
+    Each count has its own typed column that grows in place: ``costs`` holds
+    int8, the best-expert and memory traces hold C ``int``. ``kinds`` and
+    ``questions`` stay lists, since they hold whatever the caller passes. The
+    learner's running mistake count is not stored; ``learner_trace`` derives
+    it as the prefix sum of ``costs``. A count that is not an integer, or
+    lies outside the C ``int`` range, raises and leaves the ledger as it was.
     """
 
     __slots__ = (
@@ -117,7 +128,6 @@ class GameLedger:
         "kinds",
         "questions",
         "costs",
-        "learner_trace",
         "opt_trace",
         "fact_memory_trace",
         "question_memory_trace",
@@ -136,13 +146,12 @@ class GameLedger:
         self.n_experts = n_experts
         self.kinds: list[str] = []
         self.questions: list[QuestionId] = []
-        self.costs: list[int] = []
-        self.learner_trace: list[int] = []
-        self.opt_trace: list[int] = []
-        self.fact_memory_trace: list[int] = []
-        self.question_memory_trace: list[int] = []
-        self.aux_trace: list[int] = []
-        self.active_trace: list[int] = []
+        self.costs = array("b")
+        self.opt_trace = array("i")
+        self.fact_memory_trace = array("i")
+        self.question_memory_trace = array("i")
+        self.aux_trace = array("i")
+        self.active_trace = array("i")
         self.expert_mistakes = np.zeros(n_experts, dtype=np.int64)
         self.violations: list[int] = []
         self._learner_total = 0
@@ -159,6 +168,11 @@ class GameLedger:
     @property
     def opt(self) -> int:
         return self._opt
+
+    @property
+    def learner_trace(self) -> np.ndarray:
+        """The learner's mistakes after each step, as int64."""
+        return np.cumsum(np.frombuffer(self.costs, dtype=np.int8), dtype=np.int64)
 
     def record_step(
         self,
@@ -184,19 +198,33 @@ class GameLedger:
                 costs = costs.astype(np.int64)
                 if costs.size and (costs.min() < 0 or costs.max() > 1):
                     raise ValueError("expert costs must be 0 or 1")
+        # The caller's counts go in first: one that does not fit its column
+        # is taken back out before any running sum moves.
+        t = len(self.costs)
+        try:
+            self.fact_memory_trace.append(fact_memory)
+            self.question_memory_trace.append(question_memory)
+            self.aux_trace.append(aux_state)
+            self.active_trace.append(active_experts)
+        except (OverflowError, TypeError):
+            for column in (
+                self.fact_memory_trace,
+                self.question_memory_trace,
+                self.aux_trace,
+                self.active_trace,
+            ):
+                del column[t:]
+            raise
+        if expert_costs is not None:
             self.expert_mistakes += costs
             if costs[self._witness]:
                 self._refresh_witness()
-        self._learner_total += int(cost)
+        cost = 1 if cost else 0
+        self._learner_total += cost
         self.kinds.append(kind)
         self.questions.append(question)
-        self.costs.append(int(cost))
-        self.learner_trace.append(self._learner_total)
+        self.costs.append(cost)
         self.opt_trace.append(self._opt)
-        self.fact_memory_trace.append(int(fact_memory))
-        self.question_memory_trace.append(int(question_memory))
-        self.aux_trace.append(int(aux_state))
-        self.active_trace.append(int(active_experts))
         return self
 
     def _refresh_witness(self) -> None:
@@ -219,20 +247,21 @@ class GameLedger:
 
     def to_csv(self, out: IO[str]) -> None:
         out.write(CSV_HEADER + "\n")
-        for i in range(len(self.costs)):
-            row = (
-                str(i + 1),
-                self.kinds[i],
-                str(self.questions[i]),
-                str(self.costs[i]),
-                str(self.learner_trace[i]),
-                str(self.opt_trace[i]),
-                str(self.fact_memory_trace[i]),
-                str(self.question_memory_trace[i]),
-                str(self.aux_trace[i]),
-                str(self.active_trace[i]),
+        out.writelines(
+            map(
+                _CSV_ROW.format,
+                range(1, len(self.costs) + 1),
+                self.kinds,
+                self.questions,
+                self.costs,
+                accumulate(self.costs),
+                self.opt_trace,
+                self.fact_memory_trace,
+                self.question_memory_trace,
+                self.aux_trace,
+                self.active_trace,
             )
-            out.write(",".join(row) + "\n")
+        )
 
 
 def _check_token(token: str, role: str) -> str:

@@ -64,7 +64,7 @@ class TestStepOrdering:
                 capacity=2,
             )
             ledger, _ = run_game(config)
-            assert ledger.costs == [0, 0]
+            assert list(ledger.costs) == [0, 0]
 
     def test_never_taught_evaluate_charges_everyone(self) -> None:
         stream = Stream((evaluate("q1"), teach("q1", "a1"), evaluate("q1", "a1")))
@@ -559,6 +559,21 @@ class TestSweep:
         with pytest.raises(ConfigError, match="oracle_backing"):
             sweep({"learner": "lazy", "oracle_backing": ["threshold"]})
 
+    def test_every_cell_is_checked_before_the_first_game(self, monkeypatch) -> None:
+        played = []
+        monkeypatch.setattr(harness, "run_game", lambda config: played.append(config) or (0, 0))
+        scripted = {"experts": "scripted:recency,N=2", "adversary": "random:universe=4,T=9"}
+        with pytest.raises(ConfigError, match="two"):
+            sweep({**scripted, "M": [1, "two"]})
+        with pytest.raises(ConfigError, match="unknown learner"):
+            sweep({**scripted, "learner": ["lazy", "bogus"]})
+        assert played == []
+        cells = sweep({**scripted, "M": [1, 2]})
+        assert played == []  # games run one per step of the iterator
+        assert next(cells)[0].capacity == 1 and len(played) == 1
+        assert [config.capacity for config, _, _ in cells] == [2]
+        assert len(played) == 2
+
     def test_gamma_and_backing_reach_the_run(self) -> None:
         grid = {
             "learner": "mwu",
@@ -568,7 +583,7 @@ class TestSweep:
             "gamma": [0.1, 0.9],
             "backing": ["simulation", "threshold"],
         }
-        results = sweep(grid)
+        results = list(sweep(grid))
         runs = {(c.gamma, c.oracle_backing): ledger for c, ledger, _ in results}
         assert sorted(runs) == [
             (0.1, "simulation"), (0.1, "threshold"), (0.9, "simulation"), (0.9, "threshold")
@@ -577,7 +592,7 @@ class TestSweep:
             assert runs[gamma, "simulation"].costs == runs[gamma, "threshold"].costs
         assert runs[0.1, "threshold"].costs != runs[0.9, "threshold"].costs
         with pytest.raises(ConfigError, match="threshold"):
-            sweep({"experts": "scripted:recency,N=2", "backing": "threshold"})
+            list(sweep({"experts": "scripted:recency,N=2", "backing": "threshold"}))
 
 
 def test_verify_battery_full() -> None:

@@ -1,11 +1,13 @@
 from __future__ import annotations
 
 import io
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import example, given, strategies as st
 
+from factgame.harness import check_bounds, format_summary
 from factgame.invariants import sequential_scan_reference
 from factgame.model import (
     CSV_HEADER,
@@ -114,7 +116,7 @@ def test_record_step_moves_opt_only_when_the_witness_errs() -> None:
     for expert_costs in WITNESS_STEPS:
         _record(ledger, cost=0, expert_costs=np.array(expert_costs, dtype=bool), kind=EVALUATE)
     assert list(ledger.expert_mistakes) == [3, 2, 3]
-    assert ledger.opt_trace == [0, 1, 1, 2, 2, 2]
+    assert list(ledger.opt_trace) == [0, 1, 1, 2, 2, 2]
 
 
 @given(
@@ -141,10 +143,10 @@ def test_ledger_running_sums_are_consistent(steps) -> None:
         _record(ledger, cost=cost, expert_costs=expert_costs, kind=EVALUATE)
     assert ledger.learner_mistakes == sum(c for c, _, _ in steps)
     assert list(ledger.expert_mistakes) == list(totals)
-    assert ledger.opt_trace == reference_opt
+    assert list(ledger.opt_trace) == reference_opt
     # cumulative traces never decrease, and the best expert bounds them all
-    assert ledger.learner_trace == sorted(ledger.learner_trace)
-    assert ledger.opt_trace == sorted(ledger.opt_trace)
+    assert list(ledger.learner_trace) == sorted(ledger.learner_trace)
+    assert list(ledger.opt_trace) == sorted(ledger.opt_trace)
     assert ledger.opt == min(ledger.expert_mistakes)
 
 
@@ -212,3 +214,161 @@ def test_csv_layout() -> None:
     assert len(lines) == 3
     assert lines[1].startswith("1,T,q,0,0,0,")
     assert lines[2].startswith("2,E,q,1,1,0,")
+
+
+class ListLedger:
+    """Reference ledger: one Python list per column, each row formatted on
+    its own, and OPT recomputed as the minimum of the expert totals."""
+
+    def __init__(self, n_experts: int):
+        self.n_experts = n_experts
+        self.kinds, self.questions, self.costs, self.learner_trace = [], [], [], []
+        self.opt_trace, self.fact_memory_trace, self.question_memory_trace = [], [], []
+        self.aux_trace, self.active_trace, self.violations = [], [], []
+        self.expert_mistakes = np.zeros(n_experts, dtype=np.int64)
+
+    def __len__(self) -> int:
+        return len(self.costs)
+
+    @property
+    def learner_mistakes(self) -> int:
+        return sum(self.costs)
+
+    @property
+    def opt(self) -> int:
+        return int(self.expert_mistakes.min())
+
+    def record_step(self, *, kind, question, cost, expert_costs, fact_memory,
+                    question_memory, aux_state, active_experts) -> None:
+        if expert_costs is not None:
+            self.expert_mistakes += np.asarray(expert_costs, dtype=np.int64)
+        self.kinds.append(kind)
+        self.questions.append(question)
+        self.costs.append(cost)
+        self.learner_trace.append(sum(self.costs))
+        self.opt_trace.append(self.opt)
+        self.fact_memory_trace.append(fact_memory)
+        self.question_memory_trace.append(question_memory)
+        self.aux_trace.append(aux_state)
+        self.active_trace.append(active_experts)
+
+    def max_fact_memory(self) -> int:
+        return max(self.fact_memory_trace, default=0)
+
+    def max_question_memory(self) -> int:
+        return max(self.question_memory_trace, default=0)
+
+    def max_aux_state(self) -> int:
+        return max(self.aux_trace, default=0)
+
+    def to_csv(self, out) -> None:
+        out.write(CSV_HEADER + "\n")
+        for i, kind in enumerate(self.kinds):
+            row = [str(i + 1), kind, str(self.questions[i])] + [
+                str(column[i])
+                for column in (
+                    self.costs, self.learner_trace, self.opt_trace, self.fact_memory_trace,
+                    self.question_memory_trace, self.aux_trace, self.active_trace,
+                )
+            ]
+            out.write(",".join(row) + "\n")
+
+
+C_INT = st.one_of(st.integers(0, 40), st.integers(-(2**31), 2**31 - 1))
+LEDGER_STEPS = st.lists(
+    st.tuples(
+        st.sampled_from([TEACH, EVALUATE]),
+        st.one_of(st.sampled_from(["q0", "q1", "q,2"]), st.integers(0, 3)),
+        st.integers(0, 1),
+        st.one_of(st.none(), st.lists(st.integers(0, 1), min_size=3, max_size=3)),
+        C_INT, C_INT, C_INT, C_INT,
+    ),
+    max_size=40,
+)
+BIG_CAP = st.one_of(st.integers(0, 60), st.integers(2**31 - 5, 2**40))
+
+
+@given(
+    LEDGER_STEPS, st.sampled_from(["lazy", "mwu"]), BIG_CAP, BIG_CAP,
+    st.integers(1, 2**33), st.booleans(),
+)
+def test_typed_ledger_matches_the_list_reference(steps, learner, fact_cap, question_cap,
+                                                  capacity, violation) -> None:
+    ledger, reference = GameLedger(3), ListLedger(3)
+    for kind, question, cost, expert_costs, fact, parked, aux, active in steps:
+        for target in (ledger, reference):
+            target.record_step(
+                kind=kind, question=question, cost=cost, expert_costs=expert_costs,
+                fact_memory=fact, question_memory=parked, aux_state=aux, active_experts=active,
+            )
+    if violation and steps:
+        ledger.flag_violation()
+        reference.violations.append(len(reference))
+    limits = dict(n_experts=3, capacity=capacity, learner=learner,
+                  fact_cap=fact_cap, question_cap=question_cap)
+    report = check_bounds(ledger, **limits)
+    expected = check_bounds(reference, **limits)
+    assert report.checks == expected.checks
+    assert format_summary(ledger, report) == format_summary(reference, expected)
+    assert list(ledger.learner_trace) == reference.learner_trace
+    csv, csv_reference = io.StringIO(), io.StringIO()
+    ledger.to_csv(csv)
+    reference.to_csv(csv_reference)
+    assert csv.getvalue() == csv_reference.getvalue()
+
+
+@pytest.mark.parametrize(
+    "count", ["fact_memory", "question_memory", "aux_state", "active_experts"]
+)
+@pytest.mark.parametrize("value", [2**31, -(2**31) - 1])
+def test_a_count_beyond_a_c_int_leaves_the_ledger_as_it_was(count, value) -> None:
+    ledger = GameLedger(2)
+    _record(ledger, cost=1)
+    step = dict(kind=EVALUATE, question="q", cost=1, expert_costs=[1, 1], fact_memory=1,
+                question_memory=1, aux_state=1, active_experts=2)
+    with pytest.raises(OverflowError):
+        ledger.record_step(**{**step, count: value})
+    assert len(ledger) == 1 and ledger.learner_mistakes == 1 and ledger.opt == 0
+    assert list(ledger.expert_mistakes) == [0, 0]
+    columns = (ledger.kinds, ledger.questions, ledger.costs, ledger.opt_trace,
+               ledger.fact_memory_trace, ledger.question_memory_trace, ledger.aux_trace,
+               ledger.active_trace)
+    assert [len(column) for column in columns] == [1] * len(columns)
+    ledger.record_step(**step)
+    assert len(ledger) == 2 and ledger.opt == 1
+
+
+def test_caps_beyond_a_c_int_neither_wrap_nor_raise() -> None:
+    ledger = GameLedger(2)
+    for t in range(5):
+        ledger.record_step(kind=EVALUATE, question="q", cost=1, expert_costs=[1, 0],
+                           fact_memory=2**31 - 1, question_memory=t, aux_state=0,
+                           active_experts=2)
+    capacity = 2**33
+    report = check_bounds(ledger, n_experts=2, capacity=capacity, learner="lazy",
+                          fact_cap=2**40, question_cap=2**32)
+    assert report.passed
+    assert report.check("fact_memory").worst_slack == 2**40 - (2**31 - 1)
+    assert report.check("question_memory").worst_slack == 2**32 - 4
+    # OPT stays 0, so the safe allowance is 6 * M * (ceil(log_{3/2} 2) + 1) = 6 * M * 3.
+    assert report.check("mistake_derived").worst_slack == 18 * capacity - 5
+
+
+def test_a_ledger_retains_at_most_40_bytes_per_step() -> None:
+    steps = 20_000
+    questions = [f"q{i}" for i in range(128)]  # streams share their question objects
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        ledger = GameLedger(64)
+        for t in range(steps):
+            ledger.record_step(
+                kind=EVALUATE if t % 2 else TEACH, question=questions[t % 128], cost=t % 2,
+                expert_costs=None, fact_memory=t % 33, question_memory=t % 17,
+                aux_state=256, active_experts=64 - t % 64,
+            )
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert len(ledger) == steps
+    assert retained / steps <= 40, f"{retained / steps:.1f} bytes per step"
